@@ -18,7 +18,6 @@ from .numerics import (
     NEG_INFINITY,
     HypergeomParams,
     chvatal_log_bound,
-    hypergeom_tail_oracle,
     log_binom_pmf,
     log_choose,
     log_factorial,
@@ -49,7 +48,6 @@ __all__ = [
     "NEG_INFINITY",
     "HypergeomParams",
     "chvatal_log_bound",
-    "hypergeom_tail_oracle",
     "log_binom_pmf",
     "log_choose",
     "log_factorial",

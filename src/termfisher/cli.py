@@ -8,6 +8,7 @@ for identical inputs and flags; diagnostics go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from .corpus import (
     TermDocumentMatrix,
     ingest_counts,
     ingest_text,
+    open_text,
     read_corpus_jsonl,
     read_counts_csv,
     read_stopwords,
@@ -23,7 +25,6 @@ from .corpus import (
 )
 from .errors import InputFormatError, TermfisherError
 from .verify import (
-    FORMULAS,
     QuotientPoint,
     binomial_decay_check,
     check_reference_tables,
@@ -41,16 +42,13 @@ TSV_COLUMNS = (
     "neg_log_p", "q", "phi", "psi", "thm1_approx", "cor1_approx",
 )
 
-RANK_SCHEMES = (
-    "tf", "idf", "icf", "tfidf", "tficf", "fisher", "phi", "psi",
-    "thm1_approx", "cor1_approx",
-)
-
-_RANK_FIELD = {name: name for name in RANK_SCHEMES} | {"fisher": "neg_log_p"}
-_RANK_NEEDS = {
-    "tf": "tf", "idf": "idf", "icf": "icf", "tfidf": "tfidf", "tficf": "tficf",
-    "fisher": "fisher", "phi": "phi", "psi": "psi",
-    "thm1_approx": "approximations", "cor1_approx": "approximations",
+# rank scheme -> (weigh_matrix scheme that computes it, WeightRecord field)
+RANK_SCHEMES = {
+    "tf": ("tf", "tf"), "idf": ("idf", "idf"), "icf": ("icf", "icf"),
+    "tfidf": ("tfidf", "tfidf"), "tficf": ("tficf", "tficf"),
+    "fisher": ("fisher", "neg_log_p"), "phi": ("phi", "phi"), "psi": ("psi", "psi"),
+    "thm1_approx": ("approximations", "thm1_approx"),
+    "cor1_approx": ("approximations", "cor1_approx"),
 }
 
 
@@ -119,8 +117,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.top_k < 1:
         raise _ValidationFailure("--top-k must be >= 1")
     matrix = _load_matrix(args)
-    records = weigh_matrix(matrix, {_RANK_NEEDS[args.scheme]})
-    field = _RANK_FIELD[args.scheme]
+    scheme, field = RANK_SCHEMES[args.scheme]
+    records = weigh_matrix(matrix, {scheme})
     by_doc: dict[str, list[tuple[float, str]]] = {}
     for record in records:
         score = getattr(record, field)
@@ -137,13 +135,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    perturb = None
-    if args.inject_error:
-        parts = args.inject_error.split("/")
-        if len(parts) != 3 or parts[2] not in FORMULAS:
-            raise _ValidationFailure("--inject-error expects BLOCK/LABEL/FORMULA")
-        perturb = (parts[0], parts[1], parts[2])
-    rows, mismatches = check_reference_tables(perturb=perturb)
+    rows, mismatches = check_reference_tables()
     validation, typical = rows[:6], rows[6:]
     if args.table_format == "csv":
         _emit(render_tables_csv(validation, typical), args.output)
@@ -157,11 +149,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _read_grid_file(path: str) -> list[QuotientPoint]:
-    import csv as _csv
-
     points = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = _csv.reader(handle)
+    with open_text(path, newline="") as handle:
+        reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["n", "n_i", "n_j", "n_ij"]:
             raise InputFormatError(
@@ -263,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", dest="table_format", default="text", choices=("text", "csv")
     )
     table.add_argument("--output", help="write the tables here instead of stdout")
-    table.add_argument("--inject-error", help=argparse.SUPPRESS)
     table.set_defaults(func=cmd_table)
 
     sweep = sub.add_parser(
@@ -291,10 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _ValidationFailure as exc:
+    except (InputFormatError, _ValidationFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TermfisherError as exc:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     DuplicateCellError,
@@ -28,6 +29,8 @@ from .errors import (
 # Tokens are maximal runs of alphanumeric characters (Unicode-aware, underscore
 # excluded); everything else separates.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 COUNTS_CSV_HEADER = ("term", "doc", "count")
 
@@ -347,11 +350,25 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
 # -- file formats -------------------------------------------------------------
 
 
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text file; bytes that are not UTF-8 raise InputFormatError."""
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        # surrogateescape turns each undecodable byte into a lone surrogate
+        text = path.read_bytes().decode("utf-8", "surrogateescape")
+        line = text.count("\n", 0, _UNDECODED.search(text).start()) + 1
+        raise InputFormatError(f"invalid UTF-8: {exc.reason}", path=str(path), line=line) from None
+
+
 def read_counts_csv(path: str | Path) -> list[tuple[str, str, int]]:
     """Read a counts CSV with the exact header term,doc,count."""
     path = Path(path)
     rows: list[tuple[str, str, int]] = []
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(header) != COUNTS_CSV_HEADER:
@@ -394,7 +411,7 @@ def read_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
     """Read a corpus JSONL file: one object per line with id and text."""
     path = Path(path)
     documents: list[tuple[str, str]] = []
-    with path.open("r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -420,14 +437,15 @@ def read_text_dir(path: str | Path) -> list[tuple[str, str]]:
     path = Path(path)
     documents: list[tuple[str, str]] = []
     for file in sorted(path.glob("*.txt")):
-        documents.append((file.stem, file.read_text(encoding="utf-8")))
+        with open_text(file) as handle:
+            documents.append((file.stem, handle.read()))
     return documents
 
 
 def read_stopwords(path: str | Path) -> frozenset[str]:
     """One stopword per line; blanks skipped; lowercased to match tokenization."""
     words = set()
-    with Path(path).open("r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line in handle:
             word = line.strip().lower()
             if word:

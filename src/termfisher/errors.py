@@ -33,10 +33,6 @@ class InvalidProbabilityError(TermfisherError, ValueError):
     """A probability parameter lies outside [0, 1]."""
 
 
-class OracleDomainExceededError(TermfisherError):
-    """Exact-enumeration oracle called beyond its tractable domain."""
-
-
 class BoundInapplicableError(TermfisherError, ValueError):
     """Tail-bound preconditions (p_i <= p_check < 1) do not hold."""
 

@@ -148,10 +148,11 @@ class TableRow:
 def evaluate_setting(setting: TableSetting) -> TableRow:
     stats = cell_stats_from_params(setting.params)
     neg_log_p = fisher_weight(stats)
+    q = q_ij(stats)
     values = {
         "neg_log_p": neg_log_p,
-        "tficf_phi": tficf(stats) + phi(stats),
-        "tfidf_psi": tfidf(stats) + psi(stats),
+        "tficf_phi": tficf(stats) + phi(stats, q),
+        "tfidf_psi": tfidf(stats) + psi(stats, q),
         "tfidf": tfidf(stats),
     }
     # gap relative to the formula of interest, as a percentage
@@ -190,30 +191,20 @@ class TableMismatch:
         )
 
 
-def check_reference_tables(
-    *, perturb: tuple[str, str, str] | None = None
-) -> tuple[list[TableRow], list[TableMismatch]]:
-    """Recompute both tables and compare every value against its reference.
-
-    perturb (block, label, formula) nudges one computed value; it exists so
-    the mismatch path can be exercised deliberately.
-    """
+def check_reference_tables() -> tuple[list[TableRow], list[TableMismatch]]:
+    """Recompute both tables and compare every value against its reference."""
     rows = reproduce_validation_table() + reproduce_typical_table()
     mismatches = []
     for setting, row in zip(VALIDATION_SETTINGS + TYPICAL_SETTINGS, rows):
-        values = dict(row.values)
-        deltas = dict(row.deltas)
-        if perturb and perturb[:2] == (setting.block, setting.label):
-            values[perturb[2]] = values[perturb[2]] + 1.0
         for name in FORMULAS:
-            if abs(values[name] - setting.expected[name]) > TABLE_TOLERANCE:
+            if abs(row.values[name] - setting.expected[name]) > TABLE_TOLERANCE:
                 mismatches.append(
-                    TableMismatch(setting.block, setting.label, name, values[name], setting.expected[name])
+                    TableMismatch(setting.block, setting.label, name, row.values[name], setting.expected[name])
                 )
-            if abs(deltas[name] - setting.expected_delta[name]) > TABLE_TOLERANCE:
+            if abs(row.deltas[name] - setting.expected_delta[name]) > TABLE_TOLERANCE:
                 mismatches.append(
                     TableMismatch(
-                        setting.block, setting.label, f"delta:{name}", deltas[name], setting.expected_delta[name]
+                        setting.block, setting.label, f"delta:{name}", row.deltas[name], setting.expected_delta[name]
                     )
                 )
     return rows, mismatches

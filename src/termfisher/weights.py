@@ -9,7 +9,7 @@ TF-ICF and TF-IDF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, log
+from math import exp, inf, log
 from typing import Iterable
 
 from .corpus import CellStats, TermDocumentMatrix
@@ -19,10 +19,11 @@ from .errors import (
     UndefinedWeightError,
 )
 from .numerics import (
-    NEG_INFINITY,
     HypergeomParams,
     log_binom_pmf,
+    log_hypergeom_pmf,
     log_hypergeom_tail,
+    log_sum_exp,
 )
 
 SCHEMES = frozenset(
@@ -54,58 +55,68 @@ def tficf(stats: CellStats) -> float:
     return stats.n_ij * icf(stats)
 
 
+def _log_tail_past(stats: CellStats) -> float:
+    """ln P(X >= n_ij + 1): the one tail evaluation every tail scheme shares."""
+    return log_hypergeom_tail(HypergeomParams(stats.n_ij + 1, stats.n_i, stats.n_j, stats.n))
+
+
+def _neg_log_p(stats: CellStats, log_tail_past: float) -> float:
+    """-ln P(X >= n_ij), as the mass at n_ij added to the tail past it."""
+    if stats.n_ij <= max(0, stats.n_j - (stats.n - stats.n_i)):
+        return 0.0  # n_ij at the lower support edge: the tail is everything
+    log_pmf = log_hypergeom_pmf(HypergeomParams(stats.n_ij, stats.n_i, stats.n_j, stats.n))
+    log_tail = log_sum_exp(log_pmf, log_tail_past)
+    return -log_tail if log_tail < 0.0 else 0.0  # a sum rounded past 1 is still 1
+
+
+def _quotient(stats: CellStats, log_tail_past: float) -> float:
+    p_i = stats.p_i
+    if p_i <= 0.0 or p_i >= 1.0:
+        raise UndefinedQuotientError("quotient requires 0 < p_i < 1")
+    try:
+        return exp(log_tail_past - log_binom_pmf(stats.n_ij, stats.n_j, p_i))
+    except OverflowError:
+        return inf  # a tail near 1 over a binomial mass far below exp(-709)
+
+
 def fisher_weight(stats: CellStats) -> float:
     """Enrichment weight: -ln of the upper-tail probability P(X >= n_ij).
 
     Zero when n_ij = 0 (the tail is the whole distribution), and grows with
     the degree to which the term is over-represented in the document.
     """
-    tail = log_hypergeom_tail(
-        HypergeomParams(k=stats.n_ij, K=stats.n_i, s=stats.n_j, N=stats.n)
-    )
-    return -tail if tail != 0.0 else 0.0
+    return _neg_log_p(stats, _log_tail_past(stats))
 
 
 def q_ij(stats: CellStats) -> float:
     """Quotient of the tail just past n_ij over the binomial mass at n_ij.
 
     q = P(X >= n_ij + 1) / b(n_ij; n_j, p_i), evaluated in log space.
-    Exactly 0 when the tail past n_ij is empty.
+    Exactly 0 when the tail past n_ij is empty; inf past the float range.
     """
-    p_i = stats.p_i
-    if p_i <= 0.0 or p_i >= 1.0:
-        raise UndefinedQuotientError("quotient requires 0 < p_i < 1")
-    tail = log_hypergeom_tail(
-        HypergeomParams(k=stats.n_ij + 1, K=stats.n_i, s=stats.n_j, N=stats.n)
-    )
-    if tail == NEG_INFINITY:
-        return 0.0
-    return exp(tail - log_binom_pmf(stats.n_ij, stats.n_j, p_i))
+    return _quotient(stats, _log_tail_past(stats))
 
 
-def phi(stats: CellStats) -> float:
+def phi(stats: CellStats, q: float) -> float:
     """Correction closing the gap between the enrichment weight and TF-ICF.
 
-    n_ij*ln(p_ij) + (n_j - n_ij)*(p_i - p_ij) - q. Undefined at n_ij = 0.
+    n_ij*ln(p_ij) + (n_j - n_ij)*(p_i - p_ij) - q, with q = q_ij(stats).
+    Undefined at n_ij = 0.
     """
     if stats.n_ij < 1:
         raise UndefinedPhiError("phi requires n_ij >= 1")
     p_ij = stats.p_ij
-    return (
-        stats.n_ij * log(p_ij)
-        + (stats.n_j - stats.n_ij) * (stats.p_i - p_ij)
-        - q_ij(stats)
-    )
+    return stats.n_ij * log(p_ij) + (stats.n_j - stats.n_ij) * (stats.p_i - p_ij) - q
 
 
-def psi(stats: CellStats) -> float:
+def psi(stats: CellStats, q: float) -> float:
     """Correction closing the gap between the enrichment weight and TF-IDF.
 
-    -n_ij*(1 - b_i/d)*(1 - p_ij) - q.
+    -n_ij*(1 - b_i/d)*(1 - p_ij) - q, with q = q_ij(stats).
     """
     if not 1 <= stats.b_i <= stats.d:
         raise UndefinedWeightError("psi requires 1 <= b_i <= d")
-    return -stats.n_ij * (1.0 - stats.b_i / stats.d) * (1.0 - stats.p_ij) - q_ij(stats)
+    return -stats.n_ij * (1.0 - stats.b_i / stats.d) * (1.0 - stats.p_ij) - q
 
 
 @dataclass(frozen=True)
@@ -142,14 +153,16 @@ def _cell_record(term: str, doc: str, stats: CellStats, schemes: frozenset[str])
         values["tfidf"] = stats.n_ij * idf_v
     if "tficf" in schemes:
         values["tficf"] = stats.n_ij * icf_v
-    if "fisher" in schemes:
-        values["neg_log_p"] = fisher_weight(stats)
-
     want_q = schemes & {"phi", "psi", "approximations"}
+    if "fisher" in schemes or want_q:
+        log_tail_past = _log_tail_past(stats)
+    if "fisher" in schemes:
+        values["neg_log_p"] = _neg_log_p(stats, log_tail_past)
+
     q_v: float | None = None
     if want_q:
         try:
-            q_v = q_ij(stats)
+            q_v = _quotient(stats, log_tail_past)
             values["q"] = q_v
         except UndefinedQuotientError as exc:
             notes.append(f"q: {exc}")
@@ -159,7 +172,7 @@ def _cell_record(term: str, doc: str, stats: CellStats, schemes: frozenset[str])
             notes.append("phi: requires q")
         else:
             try:
-                phi_v = phi(stats)
+                phi_v = phi(stats, q_v)
                 values["phi"] = phi_v
             except UndefinedPhiError as exc:
                 notes.append(f"phi: {exc}")
@@ -168,7 +181,7 @@ def _cell_record(term: str, doc: str, stats: CellStats, schemes: frozenset[str])
         if q_v is None:
             notes.append("psi: requires q")
         else:
-            psi_v = psi(stats)
+            psi_v = psi(stats, q_v)
             values["psi"] = psi_v
     if "approximations" in schemes:
         if phi_v is not None:

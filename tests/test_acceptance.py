@@ -12,13 +12,12 @@ from fractions import Fraction
 from math import comb, exp, log
 from pathlib import Path
 
-from exact_refs import neg_log_tail
+from exact_refs import neg_log_tail, tail_fraction
 from termfisher.corpus import CellStats
 from termfisher.numerics import (
     NEG_INFINITY,
     HypergeomParams,
     chvatal_log_bound,
-    hypergeom_tail_oracle,
     log_hypergeom_pmf,
     log_hypergeom_tail,
 )
@@ -34,7 +33,7 @@ from termfisher.verify import (
     reproduce_typical_table,
     reproduce_validation_table,
 )
-from termfisher.weights import phi, psi, tfidf, tficf
+from termfisher.weights import phi, psi, q_ij, tfidf, tficf
 
 DATA = Path(__file__).parent / "data"
 TABLE_TOL = 5e-5
@@ -141,7 +140,7 @@ def test_c04_tail_oracle_equivalence_exhaustive():
                         )
                         if k <= lo:
                             expected = Fraction(1)
-                        assert hypergeom_tail_oracle(HypergeomParams(k, K, s, N)) == expected
+                        assert tail_fraction(k, K, s, N) == expected
                         oracle_crosschecks += 1
     elapsed = time.perf_counter() - start
     ok = worst_rel < 1e-10 and worst_norm < 1e-12 and elapsed < 30.0
@@ -198,8 +197,8 @@ def test_c07_uniform_collection_bridge_consistency():
     printed = []
     for spec in specs:
         stats = spec.focal_stats(spec.build_matrix())
-        thm1 = tficf(stats) + phi(stats)
-        cor1 = tfidf(stats) + psi(stats)
+        thm1 = tficf(stats) + phi(stats, q_ij(stats))
+        cor1 = tfidf(stats) + psi(stats, q_ij(stats))
         worst = max(worst, abs(thm1 - cor1))
         printed.append(thm1)
     ok = worst < 1e-9
@@ -237,7 +236,7 @@ def test_c09_tail_bound_dominance():
                         continue
                     stats = CellStats(n_ij=n_ij, n_i=K, n_j=s, n=N, b_i=1, d=1)
                     bound = chvatal_log_bound(stats)
-                    exact = hypergeom_tail_oracle(HypergeomParams(n_ij + 1, K, s, N))
+                    exact = tail_fraction(n_ij + 1, K, s, N)
                     if exact == 0:
                         continue  # empty tail: any bound dominates
                     exact_log = log(exact.numerator) - log(exact.denominator)

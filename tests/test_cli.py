@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from termfisher.cli import main
+from termfisher.verify import VALIDATION_SETTINGS
 
 DATA = Path(__file__).parent / "data"
 CORPUS = str(DATA / "corpus.jsonl")
@@ -128,6 +129,50 @@ class TestWeigh:
         assert docs == {"one", "two"}
 
 
+class TestInvalidUtf8:
+    """Bytes that are not UTF-8 exit 2 with path:line, whichever file holds them."""
+
+    BAD = b"\xff\xfe"
+
+    def assert_reported(self, code, err, path, line):
+        assert code == 2
+        assert f"{path}:{line}: invalid UTF-8" in err
+
+    def test_textdir(self, tmp_path, capsys):
+        (tmp_path / "one.txt").write_text("alpha beta", encoding="utf-8")
+        bad = tmp_path / "two.txt"
+        bad.write_bytes(b"beta\ngamma\ndelta " + self.BAD + b"\n")
+        code, _, err = run_cli("weigh", "--input", str(tmp_path), "--format", "textdir", capsys=capsys)
+        self.assert_reported(code, err, bad, 3)
+
+    def test_jsonl(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": "a", "text": "ok"}\n{"id": "b", "text": "' + self.BAD + b'"}\n')
+        code, _, err = run_cli("weigh", "--input", str(bad), "--format", "jsonl", capsys=capsys)
+        self.assert_reported(code, err, bad, 2)
+
+    def test_counts_csv(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"term,doc,count\na,d1,1\n" + self.BAD + b",d1,2\n")
+        code, _, err = run_cli("weigh", "--input", str(bad), "--format", "counts", capsys=capsys)
+        self.assert_reported(code, err, bad, 3)
+
+    def test_stopwords(self, tmp_path, capsys):
+        bad = tmp_path / "stop.txt"
+        bad.write_bytes(b"the\n" + self.BAD + b"\n")
+        code, _, err = run_cli(
+            "weigh", "--input", CORPUS, "--format", "jsonl", "--stopwords", str(bad),
+            capsys=capsys,
+        )
+        self.assert_reported(code, err, bad, 2)
+
+    def test_grid_file(self, tmp_path, capsys):
+        bad = tmp_path / "grid.csv"
+        bad.write_bytes(b"n,n_i,n_j,n_ij\n1000000,500,200,20\n" + self.BAD + b"\n")
+        code, _, err = run_cli("sweep", "--grid-file", str(bad), capsys=capsys)
+        self.assert_reported(code, err, bad, 3)
+
+
 class TestRank:
     def test_exclusive_terms_rank_first(self, capsys):
         code, out, _ = run_cli(
@@ -214,10 +259,10 @@ class TestTable:
         _, second, _ = run_cli("table", capsys=capsys)
         assert first == second
 
-    def test_injected_error_exits_3_and_names_cell(self, capsys):
-        code, _, err = run_cli(
-            "table", "--inject-error", "small/general/tfidf", capsys=capsys
-        )
+    def test_injected_error_exits_3_and_names_cell(self, monkeypatch, capsys):
+        expected = VALIDATION_SETTINGS[0].expected  # small/general
+        monkeypatch.setitem(expected, "tfidf", expected["tfidf"] + 1.0)
+        code, _, err = run_cli("table", capsys=capsys)
         assert code == 3
         assert "small/general tfidf" in err
 

@@ -1,6 +1,7 @@
 """Tests for the log-space combinatorics and distribution kernels."""
 
 import itertools
+import time
 from fractions import Fraction
 from math import comb, exp, inf, isclose, lgamma, log
 
@@ -14,13 +15,11 @@ from termfisher.errors import (
     BoundInapplicableError,
     InvalidChooseError,
     InvalidProbabilityError,
-    OracleDomainExceededError,
 )
 from termfisher.numerics import (
     NEG_INFINITY,
     HypergeomParams,
     chvatal_log_bound,
-    hypergeom_tail_oracle,
     log_binom_pmf,
     log_choose,
     log_factorial,
@@ -44,7 +43,7 @@ class TestLogFactorial:
         assert isclose(log_factorial(1000), total, rel_tol=1e-10)
 
     def test_table_and_lgamma_agree_at_seam(self):
-        # both branches of the implementation around the table boundary
+        # around 10,000, where an earlier log-factorial table handed over to lgamma
         for x in range(9_997, 10_004):
             assert isclose(log_factorial(x), lgamma(x + 1), rel_tol=1e-12)
 
@@ -229,6 +228,24 @@ class TestHypergeomTail:
         value = log_hypergeom_tail(HypergeomParams(80, 1200, 80, 10000))
         assert isclose(value, -neg_log_tail(80, 1200, 80, 10000), rel_tol=1e-11)
 
+    def test_tail_near_one_is_at_most_log_one(self):
+        # summing the whole distribution once gave +4.1e-9 here
+        assert log_hypergeom_tail(HypergeomParams(1, 10**6, 10**6, 4 * 10**6)) <= 0.0
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            HypergeomParams(1, 10**6, 10**6, 4 * 10**6),  # support 10**6 wide
+            HypergeomParams(2_500_100, 10**7, 25 * 10**6, 10**8),  # just past the mode
+            HypergeomParams(2_499_900, 10**7, 25 * 10**6, 10**8),  # just below it
+        ],
+    )
+    def test_work_is_bounded_on_wide_supports(self, params):
+        start = time.perf_counter()
+        value = log_hypergeom_tail(params)
+        assert time.perf_counter() - start < 0.25
+        assert value <= 0.0
+
     @given(
         st.integers(min_value=1, max_value=60),
         st.data(),
@@ -248,17 +265,13 @@ class TestHypergeomTail:
 
 class TestTailOracle:
     def test_exact_small_case(self):
-        assert hypergeom_tail_oracle(HypergeomParams(1, 2, 2, 4)) == Fraction(5, 6)
+        assert tail_fraction(1, 2, 2, 4) == Fraction(5, 6)
 
     def test_k_zero_is_one(self):
-        assert hypergeom_tail_oracle(HypergeomParams(0, 7, 4, 30)) == Fraction(1)
+        assert tail_fraction(0, 7, 4, 30) == Fraction(1)
 
     def test_empty_sum_is_zero(self):
-        assert hypergeom_tail_oracle(HypergeomParams(5, 4, 6, 10)) == Fraction(0)
-
-    def test_domain_guard(self):
-        with pytest.raises(OracleDomainExceededError):
-            hypergeom_tail_oracle(HypergeomParams(1, 10, 10, 201))
+        assert tail_fraction(5, 4, 6, 10) == Fraction(0)
 
 
 def _grid_stats(n_ij, n_i, n_j, n):

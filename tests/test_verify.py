@@ -79,8 +79,10 @@ class TestReferenceTables:
         _, mismatches = check_reference_tables()
         assert mismatches == []
 
-    def test_injected_perturbation_is_caught(self):
-        _, mismatches = check_reference_tables(perturb=("small", "general", "tfidf"))
+    def test_injected_perturbation_is_caught(self, monkeypatch):
+        expected = VALIDATION_SETTINGS[0].expected  # small/general
+        monkeypatch.setitem(expected, "tfidf", expected["tfidf"] + 1.0)
+        _, mismatches = check_reference_tables()
         assert len(mismatches) == 1
         assert mismatches[0].field == "tfidf"
         assert "small/general" in str(mismatches[0])
@@ -298,16 +300,16 @@ class TestUniformCollectionConsistency:
         ]
         for spec in specs:
             stats = spec.focal_stats(spec.build_matrix())
-            thm1 = tficf(stats) + phi(stats)
-            cor1 = tfidf(stats) + psi(stats)
+            thm1 = tficf(stats) + phi(stats, q_ij(stats))
+            cor1 = tfidf(stats) + psi(stats, q_ij(stats))
             assert abs(thm1 - cor1) < 1e-9
 
     def test_exclusive_collection_zeroes_the_corrections(self):
         spec = SyntheticSpec(R=20, r=20, b_i=8, d=50)
         stats = spec.focal_stats(spec.build_matrix())
         assert q_ij(stats) == 0.0
-        assert phi(stats) == 0.0
-        assert psi(stats) == 0.0
+        assert phi(stats, q_ij(stats)) == 0.0
+        assert psi(stats, q_ij(stats)) == 0.0
 
 
 class TestSweepRendering:

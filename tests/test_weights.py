@@ -1,9 +1,12 @@
 """Tests for the term-weighting schemes and the batch evaluator."""
 
-from math import isclose, log
+from math import inf, isclose, log
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import termfisher.weights
 from exact_refs import neg_log_tail, quotient
 from termfisher.corpus import CellStats, ingest_counts, ingest_text
 from termfisher.errors import UndefinedPhiError, UndefinedQuotientError
@@ -75,6 +78,10 @@ class TestFisherWeight:
         stats = make_stats(0, 150, 100, 1000, 4, 20)
         assert fisher_weight(stats) == 0.0
 
+    def test_tail_near_one_is_not_negative(self):
+        # summing the whole distribution once gave -9.7e-10 here
+        assert fisher_weight(make_stats(5, 100_005, 100_005, 300_005, 2, 2)) >= 0.0
+
     def test_matches_exact_arithmetic(self):
         for stats in (GENERAL, UNIFORM, EXCLUSIVE):
             exact = neg_log_tail(stats.n_ij, stats.n_i, stats.n_j, stats.n)
@@ -82,6 +89,10 @@ class TestFisherWeight:
 
 
 class TestQuotient:
+    def test_beyond_float_range_is_inf(self):
+        # a tail near 1 over a binomial mass near exp(-25000)
+        assert q_ij(make_stats(1, 50_001, 20_001, 70_001, 2, 2)) == inf
+
     def test_exclusive_cell_has_empty_tail(self):
         assert q_ij(EXCLUSIVE) == 0.0
 
@@ -101,27 +112,28 @@ class TestQuotient:
 
 class TestPhi:
     def test_general_cell(self):
-        value = phi(GENERAL)
+        value = phi(GENERAL, q_ij(GENERAL))
         expected = 25 * log(0.25) + 75 * (0.15 - 0.25) - quotient(25, 150, 100, 1000)
         assert isclose(value, expected, rel_tol=1e-11)
         # back-solved from two 4-decimal table values, so only ~1e-4 tight
         assert abs(value - (4.7111 - 47.4280)) < 1.5e-4
 
     def test_uniform_cell(self):
-        assert abs(phi(UNIFORM) - (9.2446 - 23.0259)) < 1.5e-4
+        assert abs(phi(UNIFORM, q_ij(UNIFORM)) - (9.2446 - 23.0259)) < 1.5e-4
 
     def test_full_document_reduces_to_minus_q(self):
         stats = make_stats(20, 160, 20, 1000, 8, 50)  # p_ij = 1
-        assert phi(stats) == -q_ij(stats)
+        assert phi(stats, q_ij(stats)) == -q_ij(stats)
 
     def test_undefined_at_zero_count(self):
+        stats = make_stats(0, 150, 100, 1000, 4, 20)
         with pytest.raises(UndefinedPhiError):
-            phi(make_stats(0, 150, 100, 1000, 4, 20))
+            phi(stats, q_ij(stats))
 
 
 class TestPsi:
     def test_uniform_cell(self):
-        value = psi(UNIFORM)
+        value = psi(UNIFORM, q_ij(UNIFORM))
         assert isclose(
             value, -10 * (1 - 10 / 40) * (1 - 0.4) - quotient(10, 100, 25, 1000),
             rel_tol=1e-11,
@@ -131,10 +143,10 @@ class TestPsi:
 
     def test_term_everywhere_reduces_to_minus_q(self):
         stats = make_stats(2, 20, 10, 100, 10, 10)  # b_i = d
-        assert psi(stats) == -q_ij(stats)
+        assert psi(stats, q_ij(stats)) == -q_ij(stats)
 
     def test_full_document_reduces_to_minus_q(self):
-        assert psi(EXCLUSIVE) == -q_ij(EXCLUSIVE)
+        assert psi(EXCLUSIVE, q_ij(EXCLUSIVE)) == -q_ij(EXCLUSIVE)
 
 
 class TestWeighMatrix:
@@ -198,6 +210,21 @@ class TestWeighMatrix:
         matrix = ingest_text([("d1", "a a b"), ("d2", "b c")])
         assert weigh_matrix(matrix) == weigh_matrix(matrix)
 
+    def test_one_tail_evaluation_per_cell(self, monkeypatch):
+        calls = []
+        kernel = termfisher.weights.log_hypergeom_tail
+
+        def counting(params):
+            calls.append(params)
+            return kernel(params)
+
+        monkeypatch.setattr(termfisher.weights, "log_hypergeom_tail", counting)
+        matrix = ingest_text(
+            [("d1", "apple apple apple pear plum"), ("d2", "pear pear plum quince")]
+        )
+        records = weigh_matrix(matrix)
+        assert len(calls) == len(records) == sum(matrix.doc_freq)
+
 
 class TestWeightInvariants:
     def _fixture_records(self):
@@ -260,3 +287,45 @@ class TestWeightInvariants:
                 b_i=1, d=point.n // point.n_j,
             )
             assert 0.0 < q_ij(stats) < 1.0
+
+
+@st.composite
+def cells(draw, max_n=10**7, max_n_j=None):
+    """A valid (n_ij, n_i, n_j, n) cell with n > 200."""
+    n = draw(st.integers(min_value=201, max_value=max_n))
+    n_j = draw(st.integers(min_value=1, max_value=min(n, max_n_j or n)))
+    n_i = draw(st.integers(min_value=1, max_value=n))
+    lo = max(0, n_j - (n - n_i))
+    n_ij = draw(st.integers(min_value=lo, max_value=min(n_i, n_j)))
+    return n_ij, n_i, n_j, n
+
+
+# Worst error allowed against exact big-integer arithmetic on the drawn
+# cells: absolute for -ln P, relative for q. The numerics module docstring
+# and the README state the same budget.
+ERROR_BUDGET = 1e-11
+
+
+class TestLargePopulations:
+    @given(cells())
+    @settings(max_examples=300, deadline=None)
+    def test_weights_are_nonnegative(self, cell):
+        stats = make_stats(*cell, b_i=1, d=1)
+        assert fisher_weight(stats) >= 0.0
+        if stats.n_i < stats.n:
+            assert q_ij(stats) >= 0.0
+
+    @given(cells(max_n_j=300))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exact_oracle_up_to_ten_million(self, cell):
+        # n_j is kept small so the big-integer sums stay fast
+        stats = make_stats(*cell, b_i=1, d=1)
+        assert abs(fisher_weight(stats) - neg_log_tail(*cell)) <= ERROR_BUDGET
+        if stats.n_i < stats.n:
+            try:
+                exact = quotient(*cell)
+            except OverflowError:
+                assert q_ij(stats) == inf
+                return
+            value = q_ij(stats)
+            assert abs(value - exact) <= ERROR_BUDGET * exact
