@@ -150,7 +150,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def _read_grid_file(path: str) -> list[QuotientPoint]:
     points = []
-    with open_text(path, newline="") as handle:
+    with open_text(path, "") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["n", "n_i", "n_j", "n_ij"]:

@@ -351,8 +351,8 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
 
 
 @contextmanager
-def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Open a UTF-8 text file; bytes that are not UTF-8 raise InputFormatError."""
+def open_text(path: str | Path, newline: str | None) -> Iterator[TextIO]:
+    """Open UTF-8 text (newline as in open()); non-UTF-8 bytes raise InputFormatError."""
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8", newline=newline) as handle:
@@ -368,7 +368,7 @@ def read_counts_csv(path: str | Path) -> list[tuple[str, str, int]]:
     """Read a counts CSV with the exact header term,doc,count."""
     path = Path(path)
     rows: list[tuple[str, str, int]] = []
-    with open_text(path, newline="") as handle:
+    with open_text(path, "") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(header) != COUNTS_CSV_HEADER:
@@ -411,7 +411,7 @@ def read_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
     """Read a corpus JSONL file: one object per line with id and text."""
     path = Path(path)
     documents: list[tuple[str, str]] = []
-    with open_text(path) as handle:
+    with open_text(path, None) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -437,7 +437,7 @@ def read_text_dir(path: str | Path) -> list[tuple[str, str]]:
     path = Path(path)
     documents: list[tuple[str, str]] = []
     for file in sorted(path.glob("*.txt")):
-        with open_text(file) as handle:
+        with open_text(file, None) as handle:
             documents.append((file.stem, handle.read()))
     return documents
 
@@ -445,7 +445,7 @@ def read_text_dir(path: str | Path) -> list[tuple[str, str]]:
 def read_stopwords(path: str | Path) -> frozenset[str]:
     """One stopword per line; blanks skipped; lowercased to match tokenization."""
     words = set()
-    with open_text(path) as handle:
+    with open_text(path, None) as handle:
         for line in handle:
             word = line.strip().lower()
             if word:

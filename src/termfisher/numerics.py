@@ -32,6 +32,7 @@ NEG_INFINITY = -inf
 
 # A tail sum stops at the first term below this fraction of the running sum.
 _TAIL_EPS = 2.0**-60
+_HALF_LN_2PI = 0.5 * log(2 * pi)
 
 
 class HypergeomParams(NamedTuple):
@@ -65,7 +66,7 @@ def log_factorial(x: int) -> float:
 def _stirling_error(n: int) -> float:
     """ln(n!) - ln(sqrt(2 pi n) (n/e)**n) for n >= 1 (Loader 2000)."""
     if n <= 15:
-        return log_factorial(n) - (n + 0.5) * log(n) + n - 0.5 * log(2 * pi)
+        return log_factorial(n) - (n + 0.5) * log(n) + n - _HALF_LN_2PI
     nn = n * n
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
