@@ -235,19 +235,20 @@ class TermDocumentMatrix:
         The first pass lists every term against document 0 (zero counts
         included) so that re-ingestion re-seeds the vocabulary order; later
         documents contribute their nonzero cells, with a single zero row for
-        documents that would otherwise go unmentioned.
+        documents that would otherwise go unmentioned. One walk of
+        nonzero_cells yields them all in order.
         """
         rows: list[tuple[str, str, int]] = []
         for i, term in enumerate(self._vocab):
             rows.append((term, self._docs[0], self._counts.get((i, 0), 0)))
-        for j in range(1, self.d):
-            doc = self._docs[j]
-            cells = [(i, c) for (i, jj), c in self._counts.items() if jj == j and c > 0]
-            if not cells:
-                rows.append((self._vocab[0], doc, 0))
+        mentioned = 1  # documents before this index already have rows
+        for i, j in self.nonzero_cells():
+            if j == 0:
                 continue
-            for i, c in sorted(cells):
-                rows.append((self._vocab[i], doc, c))
+            rows.extend((self._vocab[0], doc, 0) for doc in self._docs[mentioned:j])
+            mentioned = j + 1
+            rows.append((self._vocab[i], self._docs[j], self._counts[(i, j)]))
+        rows.extend((self._vocab[0], doc, 0) for doc in self._docs[mentioned:])
         return rows
 
     def __eq__(self, other: object) -> bool:

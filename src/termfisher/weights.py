@@ -116,7 +116,8 @@ def psi(stats: CellStats, q: float) -> float:
     """
     if not 1 <= stats.b_i <= stats.d:
         raise UndefinedWeightError("psi requires 1 <= b_i <= d")
-    return -stats.n_ij * (1.0 - stats.b_i / stats.d) * (1.0 - stats.p_ij) - q
+    # from 0.0, not by negation, so that a zero correction is +0.0
+    return 0.0 - stats.n_ij * (1.0 - stats.b_i / stats.d) * (1.0 - stats.p_ij) - q
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,11 @@ class WeightRecord:
     notes: tuple[str, ...] = field(default=(), compare=False)
 
 
-def _cell_record(term: str, doc: str, stats: CellStats, schemes: frozenset[str]) -> WeightRecord:
-    values: dict[str, float | None] = {}
+def _cell_record(
+    stats: CellStats, schemes: frozenset[str]
+) -> tuple[dict[str, float], tuple[str, ...]]:
+    """The selected scheme values of one cell, and a note for each that is NA."""
+    values: dict[str, float] = {}
     notes: list[str] = []
 
     idf_v = idf(stats)
@@ -189,7 +193,7 @@ def _cell_record(term: str, doc: str, stats: CellStats, schemes: frozenset[str])
         if psi_v is not None:
             values["cor1_approx"] = stats.n_ij * idf_v + psi_v
 
-    return WeightRecord(term=term, doc=doc, tf=stats.n_ij, notes=tuple(notes), **values)
+    return values, tuple(notes)
 
 
 def weigh_matrix(
@@ -200,7 +204,9 @@ def weigh_matrix(
 ) -> list[WeightRecord]:
     """Compute one WeightRecord per nonzero cell (all cells with include_zeros).
 
-    Records are ordered document-major, then by term index. Per-cell
+    Records are ordered document-major, then by term index. Cells that share
+    (n_ij, n_i, n_j, b_i) share their values, so the tail and every other
+    scheme are evaluated once per distinct key, not once per cell. Per-cell
     preconditions that fail (e.g. phi at tf = 0, q when the term saturates
     the collection) leave the affected fields as None with a note; the batch
     never aborts.
@@ -213,18 +219,27 @@ def weigh_matrix(
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
 
-    records = []
     if include_zeros:
         cells: Iterable[tuple[int, int]] = (
             (i, j) for j in range(matrix.d) for i in range(matrix.m)
         )
     else:
         cells = matrix.nonzero_cells()
+    vocab, docs = matrix.vocab, matrix.docs
+    row_totals, col_totals, doc_freq = matrix.row_totals, matrix.col_totals, matrix.doc_freq
+    # n and d are fixed within one matrix, so a cell's values depend only on
+    # this key; the memo must not outlive the call
+    memo: dict[tuple[int, int, int, int], tuple[dict[str, float], tuple[str, ...]]] = {}
+    records = []
     for i, j in cells:
-        stats = matrix.cell_stats(i, j)
-        if stats.n_j == 0:
+        n_j = col_totals[j]
+        if n_j == 0:
             continue  # empty document: no cell statistics are defined
-        records.append(
-            _cell_record(matrix.vocab[i], matrix.docs[j], stats, selected)
-        )
+        n_ij = matrix.count(i, j)
+        key = (n_ij, row_totals[i], n_j, doc_freq[i])
+        cached = memo.get(key)
+        if cached is None:
+            cached = memo[key] = _cell_record(matrix.cell_stats(i, j), selected)
+        values, notes = cached
+        records.append(WeightRecord(vocab[i], docs[j], n_ij, notes=notes, **values))
     return records

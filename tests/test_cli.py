@@ -52,6 +52,16 @@ class TestWeigh:
         assert abs(float(focal["neg_log_p"]) - 10.1385) < 5e-5
         assert abs(float(focal["tfidf"]) - 18.7592) < 5e-5
 
+    def test_zero_psi_prints_without_sign(self, tmp_path, capsys):
+        # "a" is in every document and fills d2, so psi there is exactly 0
+        path = tmp_path / "counts.csv"
+        path.write_text("term,doc,count\na,d1,1\na,d2,5\nb,d1,3\n", encoding="utf-8")
+        code, out, _ = run_cli("weigh", "--input", str(path), "--format", "counts", capsys=capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out), delimiter="\t"))
+        row = next(r for r in rows if r["term"] == "a" and r["doc"] == "d2")
+        assert row["psi"] == "0.000000"
+
     def test_header_is_exact(self, capsys):
         _, out, _ = run_cli("weigh", "--input", CORPUS, "--format", "jsonl", capsys=capsys)
         expected = (

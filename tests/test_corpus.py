@@ -237,6 +237,24 @@ class TestMatrixInvariants:
         rebuilt = ingest_counts(matrix.export_counts())
         assert rebuilt == matrix
 
+    def test_export_rows_are_pinned(self):
+        # a stored zero count, a document with no nonzero cell, and a document
+        # whose cells were stored out of term order
+        matrix = TermDocumentMatrix(
+            ("a", "b", "c"),
+            ("d1", "d2", "d3", "d4"),
+            {(0, 0): 2, (1, 1): 3, (0, 2): 0, (2, 3): 1, (0, 3): 1},
+        )
+        assert matrix.export_counts() == [
+            ("a", "d1", 2),
+            ("b", "d1", 0),
+            ("c", "d1", 0),
+            ("b", "d2", 3),
+            ("a", "d3", 0),
+            ("a", "d4", 1),
+            ("c", "d4", 1),
+        ]
+
 
 class TestFileFormats:
     def test_counts_csv_roundtrip(self, tmp_path):

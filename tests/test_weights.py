@@ -1,6 +1,6 @@
 """Tests for the term-weighting schemes and the batch evaluator."""
 
-from math import inf, isclose, log
+from math import copysign, inf, isclose, log
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from termfisher.corpus import CellStats, ingest_counts, ingest_text
 from termfisher.errors import UndefinedPhiError, UndefinedQuotientError
 from termfisher.weights import (
     SCHEMES,
+    WeightRecord,
     fisher_weight,
     icf,
     idf,
@@ -148,6 +149,11 @@ class TestPsi:
     def test_full_document_reduces_to_minus_q(self):
         assert psi(EXCLUSIVE, q_ij(EXCLUSIVE)) == -q_ij(EXCLUSIVE)
 
+    def test_zero_has_no_sign(self):
+        # b_i = d and q = 0: both parts are zero, and the sum must not be -0.0
+        value = psi(make_stats(2, 20, 10, 100, 10, 10), 0.0)
+        assert value == 0.0 and copysign(1.0, value) == 1.0
+
 
 class TestWeighMatrix:
     def test_single_cell_matrix(self):
@@ -224,6 +230,119 @@ class TestWeighMatrix:
         )
         records = weigh_matrix(matrix)
         assert len(calls) == len(records) == sum(matrix.doc_freq)
+
+
+def reference_record(matrix, i, j):
+    """The record for cell (i, j), built alone from the public per-cell schemes."""
+    stats = matrix.cell_stats(i, j)
+    values = {
+        "idf": idf(stats),
+        "icf": icf(stats),
+        "tfidf": tfidf(stats),
+        "tficf": tficf(stats),
+        "neg_log_p": fisher_weight(stats),
+    }
+    notes = []
+    try:
+        q = q_ij(stats)
+    except UndefinedQuotientError as exc:
+        notes += [f"q: {exc}", "phi: requires q", "psi: requires q"]
+    else:
+        values["q"] = q
+        try:
+            values["phi"] = phi(stats, q)
+            values["thm1_approx"] = values["tficf"] + values["phi"]
+        except UndefinedPhiError as exc:
+            notes.append(f"phi: {exc}")
+        values["psi"] = psi(stats, q)
+        values["cor1_approx"] = values["tfidf"] + values["psi"]
+    return WeightRecord(
+        matrix.vocab[i], matrix.docs[j], stats.n_ij, notes=tuple(notes), **values
+    )
+
+
+def assert_matches_cell_by_cell(matrix, include_zeros):
+    if include_zeros:
+        cells = [(i, j) for j in range(matrix.d) for i in range(matrix.m)]
+    else:
+        cells = list(matrix.nonzero_cells())
+    expected = [
+        reference_record(matrix, i, j) for i, j in cells if matrix.col_totals[j] > 0
+    ]
+    records = weigh_matrix(matrix, include_zeros=include_zeros)
+    assert records == expected
+    assert [r.notes for r in records] == [r.notes for r in expected]  # compare=False
+
+
+@st.composite
+def repeating_count_rows(draw):
+    """Counts rows whose matrix is one drawn block repeated down the diagonal.
+
+    Every cell key (n_ij, n_i, n_j, b_i) then occurs once per copy, zero cells
+    included; a document may be empty.
+    """
+    terms = draw(st.integers(min_value=1, max_value=4))
+    docs = draw(st.integers(min_value=1, max_value=4))
+    block = draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=3), min_size=terms, max_size=terms),
+            min_size=docs,
+            max_size=docs,
+        )
+    )
+    copies = draw(st.integers(min_value=2, max_value=3))
+    rows = [
+        (f"t{i}.{c}", f"d{j}.{c}", block[j][i])
+        for c in range(copies)
+        for j in range(docs)
+        for i in range(terms)
+    ]
+    if all(count == 0 for _, _, count in rows):
+        rows.append(("t0.0", "extra", 1))
+    return rows
+
+
+class TestWeighMatrixMemo:
+    """weigh_matrix evaluates each distinct cell key once per call."""
+
+    @given(repeating_count_rows(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_cell_by_cell_evaluation(self, rows, include_zeros):
+        assert_matches_cell_by_cell(ingest_counts(rows), include_zeros)
+
+    def test_one_tail_evaluation_per_distinct_key(self, monkeypatch):
+        calls = []
+        kernel = termfisher.weights.log_hypergeom_tail
+
+        def counting(params):
+            calls.append(params)
+            return kernel(params)
+
+        monkeypatch.setattr(termfisher.weights, "log_hypergeom_tail", counting)
+        # the six terms seen once, each in a two-word document, share one key
+        matrix = ingest_text(
+            [("d1", "a b"), ("d2", "c d"), ("d3", "e f"), ("d4", "g h"), ("d5", "a a c")]
+        )
+        records = weigh_matrix(matrix)
+        keys = set()
+        for i, j in matrix.nonzero_cells():
+            stats = matrix.cell_stats(i, j)
+            keys.add((stats.n_ij, stats.n_i, stats.n_j, stats.b_i))
+        assert len(calls) == len(keys) < len(records)
+
+    def test_each_call_weighs_its_own_collection(self):
+        # cell ("a", "d1") has key (1, 1, 2, 1) in all three matrices;
+        # the second differs in n, the third only in d (an empty document)
+        base = [("a", "d1", 1), ("b", "d1", 1)]
+        small = ingest_counts(base)
+        larger_n = ingest_counts(base + [("c", "d2", 2)])
+        larger_d = ingest_counts(base + [("a", "d2", 0)])
+        first = [weigh_matrix(m)[0] for m in (small, larger_n, larger_d)]
+        assert first[0].icf != first[1].icf
+        assert first[0].idf != first[2].idf
+        for matrix in (small, larger_n, larger_d, small):
+            assert_matches_cell_by_cell(matrix, include_zeros=False)
+            assert_matches_cell_by_cell(matrix, include_zeros=True)
 
 
 class TestWeightInvariants:
