@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import heapq
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import __version__
 from .corpus import (
@@ -56,25 +58,13 @@ class _ValidationFailure(Exception):
     """Invalid CLI input combination; reported on stderr with exit 2."""
 
 
-def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.6f}"
-
-
-def _record_line(record: WeightRecord) -> str:
-    cells = [record.term, record.doc]
-    cells.extend(_fmt(getattr(record, name)) for name in TSV_COLUMNS[2:])
-    return "\t".join(cells)
-
-
-def _emit(text: str, output: str | None) -> None:
+def _emit(lines: Iterable[str], output: str | None) -> None:
+    """Write lines (each with its own newline) to --output or stdout."""
     if output:
-        Path(output).write_text(text, encoding="utf-8", newline="")
+        with Path(output).open("w", encoding="utf-8", newline="") as handle:
+            handle.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _load_matrix(args: argparse.Namespace) -> TermDocumentMatrix:
@@ -107,10 +97,23 @@ def _parse_schemes(raw: str | None) -> frozenset[str] | None:
 def cmd_weigh(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args)
     records = weigh_matrix(matrix, _parse_schemes(args.schemes), include_zeros=args.include_zeros)
-    lines = ["\t".join(TSV_COLUMNS)]
-    lines.extend(_record_line(r) for r in records)
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(_weigh_lines(records), args.output)
     return 0
+
+
+def _weigh_lines(records: list[WeightRecord]) -> Iterator[str]:
+    """The TSV lines: tf as an integer, each value with six decimals or NA."""
+    yield "\t".join(TSV_COLUMNS) + "\n"
+    # cells that share a key share every field from tf on, so each distinct
+    # tail is rendered once (0.0 == -0.0, but no scheme yields -0.0)
+    rendered: dict[tuple, str] = {}
+    for record in records:
+        tail = record[2:]
+        suffix = rendered.get(tail)
+        if suffix is None:
+            values = ["NA" if v is None else f"{v:.6f}" for v in tail[1:-1]]
+            suffix = rendered[tail] = f"{tail[0]}\t" + "\t".join(values) + "\n"
+        yield f"{record.term}\t{record.doc}\t{suffix}"
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -125,12 +128,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
         if score is None:
             continue
         by_doc.setdefault(record.doc, []).append((float(score), record.term))
-    lines = ["doc\trank\tterm\tscore"]
+    lines = ["doc\trank\tterm\tscore\n"]
     for doc in matrix.docs:
-        scored = sorted(by_doc.get(doc, ()), key=lambda pair: (-pair[0], pair[1]))
-        for rank, (score, term) in enumerate(scored[: args.top_k], start=1):
-            lines.append(f"{doc}\t{rank}\t{term}\t{score:.6f}")
-    _emit("\n".join(lines) + "\n", args.output)
+        best = heapq.nsmallest(args.top_k, by_doc.get(doc, ()), key=lambda p: (-p[0], p[1]))
+        for rank, (score, term) in enumerate(best, start=1):
+            lines.append(f"{doc}\t{rank}\t{term}\t{score:.6f}\n")
+    _emit(lines, args.output)
     return 0
 
 
@@ -138,9 +141,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows, mismatches = check_reference_tables()
     validation, typical = rows[:6], rows[6:]
     if args.table_format == "csv":
-        _emit(render_tables_csv(validation, typical), args.output)
+        _emit([render_tables_csv(validation, typical)], args.output)
     else:
-        _emit(render_tables_text(validation, typical), args.output)
+        _emit([render_tables_text(validation, typical)], args.output)
     if mismatches:
         for mismatch in mismatches:
             print(f"mismatch: {mismatch}", file=sys.stderr)
@@ -187,9 +190,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         args.decay_p, args.decay_k, args.decay_s, _parse_int_list(args.decay_N, "--decay-N")
     )
     if args.sweep_format == "csv":
-        _emit(render_sweep_csv(quotient, convergence, decay), args.output)
+        _emit([render_sweep_csv(quotient, convergence, decay)], args.output)
     else:
-        _emit(render_sweep_text(quotient, convergence, decay), args.output)
+        _emit([render_sweep_text(quotient, convergence, decay)], args.output)
     failed = False
     for result in quotient.failures:
         p = result.point

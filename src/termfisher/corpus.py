@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import (
     DuplicateCellError,
@@ -107,13 +109,14 @@ class TermDocumentMatrix:
 
     Registries keep first-seen order, which fixes all output orderings.
     Terms whose total count is zero are dropped; documents are retained even
-    when empty (they still count toward d).
+    when empty (they still count toward d). Counts are stored by column: per
+    document, a read-only map from term index to positive count, in
+    ascending term order.
     """
 
     def __init__(self, vocab: Sequence[str], docs: Sequence[str], counts: dict[tuple[int, int], int]):
         self._vocab: tuple[str, ...] = tuple(vocab)
         self._docs: tuple[str, ...] = tuple(docs)
-        self._counts: dict[tuple[int, int], int] = dict(counts)
         self._term_index = {t: i for i, t in enumerate(self._vocab)}
         self._doc_index = {doc: j for j, doc in enumerate(self._docs)}
 
@@ -123,7 +126,8 @@ class TermDocumentMatrix:
         row = [0] * m
         col = [0] * d
         freq = [0] * m
-        for (i, j), c in self._counts.items():
+        columns: list[dict[int, int]] = [{} for _ in range(d)]
+        for (i, j), c in counts.items():
             if not (0 <= i < m and 0 <= j < d):
                 raise IndexOutOfRangeError(f"cell ({i}, {j}) outside {m}x{d} matrix")
             if c < 0:
@@ -132,8 +136,10 @@ class TermDocumentMatrix:
                 row[i] += c
                 col[j] += c
                 freq[i] += 1
+                columns[j][i] = c
         if any(r == 0 for r in row):
             raise EmptyCollectionError("every retained term must have a positive total")
+        self._columns = tuple(MappingProxyType(dict(sorted(c.items()))) for c in columns)
         self._row_totals = tuple(row)
         self._col_totals = tuple(col)
         self._doc_freq = tuple(freq)
@@ -193,15 +199,20 @@ class TermDocumentMatrix:
 
     # -- cells --------------------------------------------------------------
 
+    @property
+    def columns(self) -> tuple[Mapping[int, int], ...]:
+        """Per document, its positive counts keyed by term index, ascending."""
+        return self._columns
+
     def count(self, i: int, j: int) -> int:
         self._check_indices(i, j)
-        return self._counts.get((i, j), 0)
+        return self._columns[j].get(i, 0)
 
     def cell_stats(self, i: int, j: int) -> CellStats:
         """All integer totals and derived proportions for cell (i, j)."""
         self._check_indices(i, j)
         return CellStats(
-            n_ij=self._counts.get((i, j), 0),
+            n_ij=self._columns[j].get(i, 0),
             n_i=self._row_totals[i],
             n_j=self._col_totals[j],
             n=self._grand_total,
@@ -213,12 +224,8 @@ class TermDocumentMatrix:
 
     def nonzero_cells(self) -> Iterator[tuple[int, int]]:
         """Yield (i, j) with positive count, document-major then term index."""
-        by_doc: dict[int, list[int]] = {}
-        for (i, j), c in self._counts.items():
-            if c > 0:
-                by_doc.setdefault(j, []).append(i)
-        for j in range(self.d):
-            for i in sorted(by_doc.get(j, ())):
+        for j, column in enumerate(self._columns):
+            for i in column:
                 yield i, j
 
     def _check_indices(self, i: int, j: int) -> None:
@@ -234,21 +241,17 @@ class TermDocumentMatrix:
 
         The first pass lists every term against document 0 (zero counts
         included) so that re-ingestion re-seeds the vocabulary order; later
-        documents contribute their nonzero cells, with a single zero row for
-        documents that would otherwise go unmentioned. One walk of
-        nonzero_cells yields them all in order.
+        documents contribute their nonzero cells, or a single zero row when
+        they have none.
         """
-        rows: list[tuple[str, str, int]] = []
-        for i, term in enumerate(self._vocab):
-            rows.append((term, self._docs[0], self._counts.get((i, 0), 0)))
-        mentioned = 1  # documents before this index already have rows
-        for i, j in self.nonzero_cells():
-            if j == 0:
-                continue
-            rows.extend((self._vocab[0], doc, 0) for doc in self._docs[mentioned:j])
-            mentioned = j + 1
-            rows.append((self._vocab[i], self._docs[j], self._counts[(i, j)]))
-        rows.extend((self._vocab[0], doc, 0) for doc in self._docs[mentioned:])
+        vocab, docs = self._vocab, self._docs
+        first = self._columns[0]
+        rows = [(term, docs[0], first.get(i, 0)) for i, term in enumerate(vocab)]
+        for doc, column in zip(docs[1:], self._columns[1:]):
+            if column:
+                rows.extend((vocab[i], doc, c) for i, c in column.items())
+            else:
+                rows.append((vocab[0], doc, 0))
         return rows
 
     def __eq__(self, other: object) -> bool:
@@ -257,8 +260,7 @@ class TermDocumentMatrix:
         return (
             self._vocab == other._vocab
             and self._docs == other._docs
-            and {k: v for k, v in self._counts.items() if v > 0}
-            == {k: v for k, v in other._counts.items() if v > 0}
+            and self._columns == other._columns
         )
 
     def __repr__(self) -> str:
@@ -341,11 +343,10 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
     kept = [i for i in range(len(vocab)) if totals.get(i, 0) > 0]
     if not kept:
         raise EmptyCollectionError("all terms have zero total count")
-    remap = {i: new_i for new_i, i in enumerate(kept)}
-    new_counts = {
-        (remap[i], j): c for (i, j), c in counts.items() if i in remap and c > 0
-    }
-    return TermDocumentMatrix([vocab[i] for i in kept], docs, new_counts)
+    if len(kept) < len(vocab):  # renumber; the matrix itself drops zero cells
+        remap = {i: new_i for new_i, i in enumerate(kept)}
+        counts = {(remap[i], j): c for (i, j), c in counts.items() if i in remap}
+    return TermDocumentMatrix([vocab[i] for i in kept], docs, counts)
 
 
 # -- file formats -------------------------------------------------------------
@@ -434,12 +435,17 @@ def read_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
 
 
 def read_text_dir(path: str | Path) -> list[tuple[str, str]]:
-    """Read every .txt file in a directory; doc id is the file stem."""
+    """Read every .txt file in a directory; doc id is the file stem.
+
+    A missing path or one that is not a directory raises the matching OSError.
+    """
     path = Path(path)
     documents: list[tuple[str, str]] = []
-    for file in sorted(path.glob("*.txt")):
-        with open_text(file, None) as handle:
-            documents.append((file.stem, handle.read()))
+    for name in sorted(os.listdir(path)):
+        if name.endswith(".txt"):
+            file = path / name
+            with open_text(file, None) as handle:
+                documents.append((file.stem, handle.read()))
     return documents
 
 

@@ -8,9 +8,8 @@ TF-ICF and TF-IDF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import exp, inf, log
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import CellStats, TermDocumentMatrix
 from .errors import (
@@ -120,8 +119,7 @@ def psi(stats: CellStats, q: float) -> float:
     return 0.0 - stats.n_ij * (1.0 - stats.b_i / stats.d) * (1.0 - stats.p_ij) - q
 
 
-@dataclass(frozen=True)
-class WeightRecord:
+class WeightRecord(NamedTuple):
     """All weights for one cell; None marks values not computed or undefined."""
 
     term: str
@@ -137,13 +135,15 @@ class WeightRecord:
     psi: float | None = None
     thm1_approx: float | None = None
     cor1_approx: float | None = None
-    notes: tuple[str, ...] = field(default=(), compare=False)
+    notes: tuple[str, ...] = ()
 
 
-def _cell_record(
-    stats: CellStats, schemes: frozenset[str]
-) -> tuple[dict[str, float], tuple[str, ...]]:
-    """The selected scheme values of one cell, and a note for each that is NA."""
+_VALUE_FIELDS = WeightRecord._fields[3:-1]  # idf ... cor1_approx
+
+
+def _cell_record(stats: CellStats, schemes: frozenset[str]) -> tuple:
+    """The record of one cell without term and doc: tf, the selected scheme
+    values (None where not selected or NA), and a note for each that is NA."""
     values: dict[str, float] = {}
     notes: list[str] = []
 
@@ -193,7 +193,7 @@ def _cell_record(
         if psi_v is not None:
             values["cor1_approx"] = stats.n_ij * idf_v + psi_v
 
-    return values, tuple(notes)
+    return (stats.n_ij, *map(values.get, _VALUE_FIELDS), tuple(notes))
 
 
 def weigh_matrix(
@@ -219,27 +219,27 @@ def weigh_matrix(
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
 
-    if include_zeros:
-        cells: Iterable[tuple[int, int]] = (
-            (i, j) for j in range(matrix.d) for i in range(matrix.m)
-        )
-    else:
-        cells = matrix.nonzero_cells()
     vocab, docs = matrix.vocab, matrix.docs
     row_totals, col_totals, doc_freq = matrix.row_totals, matrix.col_totals, matrix.doc_freq
-    # n and d are fixed within one matrix, so a cell's values depend only on
-    # this key; the memo must not outlive the call
-    memo: dict[tuple[int, int, int, int], tuple[dict[str, float], tuple[str, ...]]] = {}
+    all_terms = range(matrix.m)
+    make = WeightRecord._make
+    # n and d are fixed within one matrix, so a cell's record, but for term
+    # and doc, depends only on this key; the memo must not outlive the call
+    memo: dict[tuple[int, int, int, int], tuple] = {}
     records = []
-    for i, j in cells:
+    for j, column in enumerate(matrix.columns):
         n_j = col_totals[j]
         if n_j == 0:
             continue  # empty document: no cell statistics are defined
-        n_ij = matrix.count(i, j)
-        key = (n_ij, row_totals[i], n_j, doc_freq[i])
-        cached = memo.get(key)
-        if cached is None:
-            cached = memo[key] = _cell_record(matrix.cell_stats(i, j), selected)
-        values, notes = cached
-        records.append(WeightRecord(vocab[i], docs[j], n_ij, notes=notes, **values))
+        doc = docs[j]
+        if include_zeros:
+            cells: Iterable[tuple[int, int]] = ((i, column.get(i, 0)) for i in all_terms)
+        else:
+            cells = column.items()
+        for i, n_ij in cells:
+            key = (n_ij, row_totals[i], n_j, doc_freq[i])
+            tail = memo.get(key)
+            if tail is None:
+                tail = memo[key] = _cell_record(matrix.cell_stats(i, j), selected)
+            records.append(make((vocab[i], doc, *tail)))
     return records

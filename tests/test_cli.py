@@ -130,6 +130,26 @@ class TestWeigh:
         )
         assert code == 1
 
+    def test_missing_textdir_exits_1(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            "weigh", "--input", str(tmp_path / "nope"), "--format", "textdir",
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "nope" in err
+
+    def test_textdir_that_is_a_file_exits_1(self, tmp_path, capsys):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("alpha", encoding="utf-8")
+        code, _, err = run_cli("weigh", "--input", str(plain), "--format", "textdir", capsys=capsys)
+        assert code == 1
+        assert "plain.txt" in err
+
+    def test_empty_textdir_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli("weigh", "--input", str(tmp_path), "--format", "textdir", capsys=capsys)
+        assert code == 2
+        assert "EmptyCollection" in err
+
     def test_textdir_input(self, tmp_path, capsys):
         (tmp_path / "one.txt").write_text("alpha beta alpha", encoding="utf-8")
         (tmp_path / "two.txt").write_text("beta gamma", encoding="utf-8")
@@ -240,6 +260,25 @@ class TestRank:
         )
         d1 = [line.split("\t") for line in out.splitlines()[1:] if line.startswith("d1\t")]
         assert [row[2] for row in d1] == ["yak", "zebra"]
+        # a cut inside the tie group keeps the lexicographically first terms
+        corpus.write_text(
+            '{"id": "d1", "text": "zebra yak wolf vole vole"}\n'
+            '{"id": "d2", "text": "zebra yak wolf"}\n',
+            encoding="utf-8",
+        )
+        _, out, _ = run_cli(
+            "rank", "--input", str(corpus), "--format", "jsonl",
+            "--scheme", "tf", "--top-k", "3",
+            capsys=capsys,
+        )
+        assert out.splitlines()[1:] == [
+            "d1\t1\tvole\t2.000000",
+            "d1\t2\twolf\t1.000000",
+            "d1\t3\tyak\t1.000000",
+            "d2\t1\twolf\t1.000000",
+            "d2\t2\tyak\t1.000000",
+            "d2\t3\tzebra\t1.000000",
+        ]
 
     def test_invalid_top_k(self, capsys):
         code, _, err = run_cli(
@@ -309,6 +348,43 @@ class TestSweep:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {"quotient", "convergence", "decay"} <= {r["check"] for r in rows}
+
+
+class TestOutputFile:
+    """--output receives exactly the bytes stdout would, and only on success."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rank", "--input", CORPUS, "--format", "jsonl", "--top-k", "3"),
+            ("table",),
+            ("table", "--format", "csv"),
+            ("sweep",),
+            ("sweep", "--format", "csv"),
+        ],
+    )
+    def test_output_file_matches_stdout(self, argv, tmp_path, capsys):
+        code, out, _ = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        target = tmp_path / "out"
+        code, rest, _ = run_cli(*argv, "--output", str(target), capsys=capsys)
+        assert code == 0
+        assert rest == ""
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("command", ["weigh", "rank"])
+    def test_malformed_input_leaves_output_untouched(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("term,doc,count\na,b,1\na,c,NOPE\n", encoding="utf-8")
+        target = tmp_path / "out.tsv"
+        target.write_bytes(b"earlier\toutput\n")
+        argv = [command, "--input", str(bad), "--format", "counts", "--output", str(target)]
+        if command == "rank":
+            argv += ["--top-k", "2"]
+        code, _, err = run_cli(*argv, capsys=capsys)
+        assert code == 2
+        assert f"{bad}:3" in err
+        assert target.read_bytes() == b"earlier\toutput\n"
 
 
 class TestModuleInvocation:

@@ -255,6 +255,24 @@ class TestMatrixInvariants:
             ("c", "d4", 1),
         ]
 
+    def test_columns_from_unordered_counts_with_a_stored_zero(self):
+        # inserted out of term and document order, with a zero stored at (1, 0)
+        counts = {(2, 1): 4, (0, 1): 1, (2, 0): 3, (1, 0): 0, (0, 0): 2, (1, 1): 5}
+        matrix = TermDocumentMatrix(("a", "b", "c"), ("d1", "d2"), counts)
+        assert list(matrix.nonzero_cells()) == [(0, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+        assert [list(column.items()) for column in matrix.columns] == [
+            [(0, 2), (2, 3)],
+            [(0, 1), (1, 5), (2, 4)],
+        ]
+        without_zero = {cell: c for cell, c in counts.items() if c > 0}
+        assert matrix == TermDocumentMatrix(("a", "b", "c"), ("d1", "d2"), without_zero)
+
+    def test_columns_are_read_only(self):
+        matrix = ingest_text([("d1", "a b a")])
+        with pytest.raises(TypeError):
+            matrix.columns[0][0] = 7
+        assert matrix.count(0, 0) == 2
+
 
 class TestFileFormats:
     def test_counts_csv_roundtrip(self, tmp_path):

@@ -212,6 +212,13 @@ class TestWeighMatrix:
         assert zero.phi is None  # undefined at tf = 0
         assert any(note.startswith("phi") for note in zero.notes)
 
+    def test_records_are_immutable(self):
+        (record,) = weigh_matrix(ingest_counts([("only", "doc", 4)]))
+        with pytest.raises(AttributeError):
+            record.tf = 5
+        with pytest.raises(AttributeError):
+            record.notes = ()
+
     def test_determinism(self):
         matrix = ingest_text([("d1", "a a b"), ("d2", "b c")])
         assert weigh_matrix(matrix) == weigh_matrix(matrix)
@@ -271,7 +278,7 @@ def assert_matches_cell_by_cell(matrix, include_zeros):
     ]
     records = weigh_matrix(matrix, include_zeros=include_zeros)
     assert records == expected
-    assert [r.notes for r in records] == [r.notes for r in expected]  # compare=False
+    assert [r.notes for r in records] == [r.notes for r in expected]
 
 
 @st.composite
