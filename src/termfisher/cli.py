@@ -24,8 +24,9 @@ from .corpus import (
     read_counts_csv,
     read_stopwords,
     read_text_dir,
+    repeated_key_line,
 )
-from .errors import InputFormatError, TermfisherError
+from .errors import DuplicateCellError, DuplicateDocIdError, InputFormatError, TermfisherError
 from .verify import (
     QuotientPoint,
     binomial_decay_check,
@@ -69,17 +70,22 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
 
 def _load_matrix(args: argparse.Namespace) -> TermDocumentMatrix:
     stopwords = read_stopwords(args.stopwords) if args.stopwords else frozenset()
-    if args.format == "counts":
-        if args.stopwords:
-            raise _ValidationFailure(
-                "--stopwords applies to tokenized input only (jsonl or textdir)"
-            )
-        return ingest_counts(read_counts_csv(args.input))
-    if args.format == "jsonl":
-        documents = read_corpus_jsonl(args.input)
-    else:  # textdir
-        documents = read_text_dir(args.input)
-    return ingest_text(documents, stopwords=stopwords)
+    try:
+        if args.format == "counts":
+            if args.stopwords:
+                raise _ValidationFailure(
+                    "--stopwords applies to tokenized input only (jsonl or textdir)"
+                )
+            return ingest_counts(read_counts_csv(args.input))
+        if args.format == "jsonl":
+            documents = read_corpus_jsonl(args.input)
+        else:  # textdir
+            documents = read_text_dir(args.input)
+        return ingest_text(documents, stopwords=stopwords)
+    except (DuplicateCellError, DuplicateDocIdError) as exc:
+        # only ingestion sees the repeat; its line is looked up on this path alone
+        line = repeated_key_line(args.input, args.format)
+        raise InputFormatError(str(exc), path=args.input, line=line) from None
 
 
 def _parse_schemes(raw: str | None) -> frozenset[str] | None:

@@ -401,6 +401,25 @@ def read_counts_csv(path: str | Path) -> list[tuple[str, str, int]]:
     return rows
 
 
+def repeated_key_line(path: str | Path, fmt: str) -> int:
+    """Line of the first counts CSV row (fmt "counts") that repeats a (term, doc)
+    pair, or corpus JSONL line that repeats an id; 0 if none. It rescans a file
+    that its reader has accepted, so only error reports call it."""
+    seen = set()
+    with open_text(path, "" if fmt == "counts" else None) as handle:
+        if fmt == "counts":  # the header is line 1
+            rows = enumerate(csv.reader(handle), start=1)
+            keys = ((lineno, tuple(row[:2])) for lineno, row in rows if row and lineno > 1)
+        else:
+            lines = enumerate(handle, start=1)
+            keys = ((lineno, json.loads(line)["id"]) for lineno, line in lines if line.strip())
+        for lineno, key in keys:
+            if key in seen:
+                return lineno
+            seen.add(key)
+    return 0
+
+
 def write_counts_csv(path: str | Path, rows: Iterable[tuple[str, str, int]]) -> None:
     """Write counts rows as UTF-8 CSV with LF line endings."""
     with Path(path).open("w", encoding="utf-8", newline="") as handle:

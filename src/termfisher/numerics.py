@@ -120,12 +120,12 @@ def log_binom_pmf(k: int, s: int, p: float) -> float:
     return log_choose(s, k) + k * log(p) + (s - k) * log1p(-p)
 
 
-def _log_falling_tail(k: int, K: int, s: int, N: int) -> float:
-    """ln P(X >= k) for k past the mode, where the pmf falls from k upward.
+def _falling_series(k: int, K: int, s: int, N: int) -> float:
+    """The sum of pmf(t) / pmf(k) over t >= k, for k past the mode, where the
+    pmf falls from k upward.
 
-    The tail is pmf(k) times the series of pmf(t) / pmf(k), each term the last
-    times the ratio (K-t)(s-t) / ((t+1)(N-K-s+t+1)). The sum stops at the
-    first term below _TAIL_EPS of the running sum.
+    Each term is the last times the ratio (K-t)(s-t) / ((t+1)(N-K-s+t+1)). The
+    sum stops at the first term below _TAIL_EPS of the running sum.
     """
     rest = N - K - s
     total = term = 1.0
@@ -134,27 +134,41 @@ def _log_falling_tail(k: int, K: int, s: int, N: int) -> float:
         total += term
         if term < total * _TAIL_EPS:
             break
-    return log_hypergeom_pmf(HypergeomParams(k, K, s, N)) + log(total)
+    return total
 
 
-def log_hypergeom_tail(params: HypergeomParams) -> float:
-    """ln P(X >= k) for X hypergeometric(K, s, N).
+def log_hypergeom_tail(params: HypergeomParams) -> tuple[float, float]:
+    """(ln P(X >= k), ln P(X >= k - 1)) for X hypergeometric(K, s, N).
 
-    Exactly 0.0 when k is at or below the lower support edge (the tail is the
-    whole distribution) and -inf when k is past the upper edge (empty tail).
-    At or below the mode it is log1p(-P(X <= k - 1)), never above 0, where
-    P(X <= k - 1) = P(s - X >= s - k + 1) with s - X ~ hypergeometric(N - K, s, N).
+    Both come from one log-pmf anchor. Each is exactly 0.0 when its bound is
+    at or below the lower support edge (the tail is the whole distribution)
+    and -inf when it is past the upper edge (empty tail); neither is above 0.
+    Past the mode the anchor is pmf(k), and P(X >= k - 1) adds pmf(k - 1), one
+    ratio step back. At or below the mode the anchor is pmf(k - 1), summed as
+    the tail of the mirrored draw s - X ~ hypergeometric(N - K, s, N):
+    P(X >= k) = 1 - P(X <= k - 1) and P(X >= k - 1) = 1 - P(X <= k - 2), both
+    through log1p. At k = hi + 1 the anchor is pmf(hi), the second value.
     """
     _validate_population(params)
     k, K, s, N = params
     lo, hi = _support(K, s, N)
     if k <= lo:
-        return 0.0
+        return 0.0, 0.0
+    if k > hi + 1:
+        return NEG_INFINITY, NEG_INFINITY
     if k > hi:
-        return NEG_INFINITY
-    if k > (K + 1) * (s + 1) // (N + 2):
-        return _log_falling_tail(k, K, s, N)
-    return log1p(-exp(_log_falling_tail(s - k + 1, N - K, s, N)))
+        tail, before = NEG_INFINITY, log_hypergeom_pmf(HypergeomParams(hi, K, s, N))
+    elif k > (K + 1) * (s + 1) // (N + 2):
+        anchor = log_hypergeom_pmf(params)
+        total = _falling_series(k, K, s, N)
+        back = k * (N - K - s + k) / ((K - k + 1) * (s - k + 1))  # pmf(k - 1) / pmf(k)
+        tail, before = anchor + log(total), anchor + log(total + back)
+    else:
+        mirrored = HypergeomParams(s - k + 1, N - K, s, N)
+        anchor = log_hypergeom_pmf(mirrored)
+        total = _falling_series(*mirrored)
+        tail, before = log1p(-exp(anchor + log(total))), log1p(-exp(anchor) * (total - 1.0))
+    return tail, 0.0 if k - 1 == lo else min(before, 0.0)
 
 
 def chvatal_log_bound(stats: "CellStats") -> float:
@@ -174,13 +188,3 @@ def chvatal_log_bound(stats: "CellStats") -> float:
     p_i = stats.p_i
     pc = stats.p_check
     return stats.n_j * (pc * log(p_i / pc) + (1.0 - pc) * log((1.0 - p_i) / (1.0 - pc)))
-
-
-def log_sum_exp(a: float, b: float) -> float:
-    """ln(exp(a) + exp(b)) without leaving log space."""
-    if a == NEG_INFINITY:
-        return b
-    if b == NEG_INFINITY:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + log1p(exp(lo - hi))

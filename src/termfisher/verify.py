@@ -19,13 +19,8 @@ from math import exp, log
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import CellStats, TermDocumentMatrix, ingest_counts
-from .errors import BoundInapplicableError, InvalidProbabilityError, InvalidSyntheticSpecError
-from .numerics import (
-    HypergeomParams,
-    chvatal_log_bound,
-    log_binom_pmf,
-    log_hypergeom_pmf,
-)
+from .errors import InvalidSyntheticSpecError
+from .numerics import HypergeomParams, log_binom_pmf, log_hypergeom_pmf
 from .weights import fisher_weight, phi, psi, q_ij, tfidf, tficf
 
 TABLE_TOLERANCE = 5e-5  # match at four printed decimals
@@ -208,25 +203,6 @@ def check_reference_tables() -> tuple[list[TableRow], list[TableMismatch]]:
                     )
                 )
     return rows, mismatches
-
-
-# -- per-draw quantities ------------------------------------------------------
-
-
-def w_binomial(stats: CellStats) -> float:
-    """Per-draw log binomial mass: ln b(n_ij; n_j, p_i) / n_j, exact in log space."""
-    p_i = stats.p_i
-    if not 0.0 < p_i < 1.0:
-        raise InvalidProbabilityError("requires 0 < p_i < 1")
-    return log_binom_pmf(stats.n_ij, stats.n_j, p_i) / stats.n_j
-
-
-def w_hypergeom_bound(stats: CellStats) -> float:
-    """Per-draw tail bound: pc*ln(p_i/pc) + (1-pc)*ln((1-p_i)/(1-pc)).
-
-    Equals chvatal_log_bound(stats) / n_j by construction.
-    """
-    return chvatal_log_bound(stats) / stats.n_j
 
 
 # -- quotient sweep -----------------------------------------------------------

@@ -17,13 +17,7 @@ from .errors import (
     UndefinedQuotientError,
     UndefinedWeightError,
 )
-from .numerics import (
-    HypergeomParams,
-    log_binom_pmf,
-    log_hypergeom_pmf,
-    log_hypergeom_tail,
-    log_sum_exp,
-)
+from .numerics import HypergeomParams, log_binom_pmf, log_hypergeom_tail
 
 SCHEMES = frozenset(
     {"tf", "idf", "icf", "tfidf", "tficf", "fisher", "phi", "psi", "approximations"}
@@ -54,18 +48,10 @@ def tficf(stats: CellStats) -> float:
     return stats.n_ij * icf(stats)
 
 
-def _log_tail_past(stats: CellStats) -> float:
-    """ln P(X >= n_ij + 1): the one tail evaluation every tail scheme shares."""
+def _log_tails(stats: CellStats) -> tuple[float, float]:
+    """(ln P(X >= n_ij + 1), ln P(X >= n_ij)): the one kernel call that every
+    tail scheme shares."""
     return log_hypergeom_tail(HypergeomParams(stats.n_ij + 1, stats.n_i, stats.n_j, stats.n))
-
-
-def _neg_log_p(stats: CellStats, log_tail_past: float) -> float:
-    """-ln P(X >= n_ij), as the mass at n_ij added to the tail past it."""
-    if stats.n_ij <= max(0, stats.n_j - (stats.n - stats.n_i)):
-        return 0.0  # n_ij at the lower support edge: the tail is everything
-    log_pmf = log_hypergeom_pmf(HypergeomParams(stats.n_ij, stats.n_i, stats.n_j, stats.n))
-    log_tail = log_sum_exp(log_pmf, log_tail_past)
-    return -log_tail if log_tail < 0.0 else 0.0  # a sum rounded past 1 is still 1
 
 
 def _quotient(stats: CellStats, log_tail_past: float) -> float:
@@ -84,7 +70,7 @@ def fisher_weight(stats: CellStats) -> float:
     Zero when n_ij = 0 (the tail is the whole distribution), and grows with
     the degree to which the term is over-represented in the document.
     """
-    return _neg_log_p(stats, _log_tail_past(stats))
+    return 0.0 - _log_tails(stats)[1]  # from 0.0, so that a zero weight is +0.0
 
 
 def q_ij(stats: CellStats) -> float:
@@ -93,7 +79,7 @@ def q_ij(stats: CellStats) -> float:
     q = P(X >= n_ij + 1) / b(n_ij; n_j, p_i), evaluated in log space.
     Exactly 0 when the tail past n_ij is empty; inf past the float range.
     """
-    return _quotient(stats, _log_tail_past(stats))
+    return _quotient(stats, _log_tails(stats)[0])
 
 
 def phi(stats: CellStats, q: float) -> float:
@@ -159,9 +145,9 @@ def _cell_record(stats: CellStats, schemes: frozenset[str]) -> tuple:
         values["tficf"] = stats.n_ij * icf_v
     want_q = schemes & {"phi", "psi", "approximations"}
     if "fisher" in schemes or want_q:
-        log_tail_past = _log_tail_past(stats)
+        log_tail_past, log_tail = _log_tails(stats)
     if "fisher" in schemes:
-        values["neg_log_p"] = _neg_log_p(stats, log_tail_past)
+        values["neg_log_p"] = 0.0 - log_tail
 
     q_v: float | None = None
     if want_q:
@@ -204,12 +190,14 @@ def weigh_matrix(
 ) -> list[WeightRecord]:
     """Compute one WeightRecord per nonzero cell (all cells with include_zeros).
 
-    Records are ordered document-major, then by term index. Cells that share
-    (n_ij, n_i, n_j, b_i) share their values, so the tail and every other
-    scheme are evaluated once per distinct key, not once per cell. Per-cell
-    preconditions that fail (e.g. phi at tf = 0, q when the term saturates
-    the collection) leave the affected fields as None with a note; the batch
-    never aborts.
+    Records are ordered document-major, then by term index. Within one matrix
+    (n and d fixed) a cell's values depend only on n_ij, n_i, and, if a
+    selected scheme reads them, n_j (fisher, phi, psi, approximations) and b_i
+    (idf, tfidf, psi, approximations). Cells that share those integers share
+    their values, so the tail and every other scheme are evaluated once per
+    distinct key, not once per cell. Per-cell preconditions that fail (e.g.
+    phi at tf = 0, q when the term saturates the collection) leave the
+    affected fields as None with a note; the batch never aborts.
     """
     if schemes is None:
         selected = SCHEMES
@@ -220,11 +208,14 @@ def weigh_matrix(
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
 
     vocab, docs = matrix.vocab, matrix.docs
-    row_totals, col_totals, doc_freq = matrix.row_totals, matrix.col_totals, matrix.doc_freq
+    row_totals, col_totals = matrix.row_totals, matrix.col_totals
+    # the memo key holds only the integers the selected schemes read; it must
+    # not outlive the call, since n and d are fixed only within one matrix
+    reads_n_j = not selected.isdisjoint({"fisher", "phi", "psi", "approximations"})
+    reads_b_i = not selected.isdisjoint({"idf", "tfidf", "psi", "approximations"})
+    b_i_key = matrix.doc_freq if reads_b_i else (0,) * matrix.m
     all_terms = range(matrix.m)
     make = WeightRecord._make
-    # n and d are fixed within one matrix, so a cell's record, but for term
-    # and doc, depends only on this key; the memo must not outlive the call
     memo: dict[tuple[int, int, int, int], tuple] = {}
     records = []
     for j, column in enumerate(matrix.columns):
@@ -232,12 +223,13 @@ def weigh_matrix(
         if n_j == 0:
             continue  # empty document: no cell statistics are defined
         doc = docs[j]
+        n_j_key = n_j if reads_n_j else 0
         if include_zeros:
             cells: Iterable[tuple[int, int]] = ((i, column.get(i, 0)) for i in all_terms)
         else:
             cells = column.items()
         for i, n_ij in cells:
-            key = (n_ij, row_totals[i], n_j, doc_freq[i])
+            key = (n_ij, row_totals[i], n_j_key, b_i_key[i])
             tail = memo.get(key)
             if tail is None:
                 tail = memo[key] = _cell_record(matrix.cell_stats(i, j), selected)

@@ -1,13 +1,18 @@
-"""Exact-arithmetic reference values for tests.
+"""Exact-arithmetic reference values for tests, and the helpers only tests use.
 
-Everything here is built from integers and Fractions only: tail sums are
+The references are built from integers and Fractions only: tail sums are
 big-integer binomial sums, probabilities are exact rationals, and logs are
-taken of (big) integers, which math.log handles at full precision. These
-references share no code with the package's log-space engine.
+taken of (big) integers, which math.log handles at full precision. They
+share no code with the package's log-space engine. The helpers at the end
+(log_sum_exp and the per-draw quantities) are float code, not references.
 """
 
 from fractions import Fraction
-from math import comb, log
+from math import comb, exp, inf, log, log1p
+
+from termfisher.corpus import CellStats
+from termfisher.errors import InvalidProbabilityError
+from termfisher.numerics import chvatal_log_bound, log_binom_pmf
 
 
 def support(K: int, s: int, N: int) -> tuple[int, int]:
@@ -60,3 +65,32 @@ def quotient(n_ij: int, n_i: int, n_j: int, n: int) -> float:
         return 0.0
     ratio = tail / binom_pmf_fraction(n_ij, n_j, Fraction(n_i, n))
     return float(ratio)
+
+
+# -- helpers that are not references ------------------------------------------
+
+
+def log_sum_exp(a: float, b: float) -> float:
+    """ln(exp(a) + exp(b)) without leaving log space."""
+    if a == -inf:
+        return b
+    if b == -inf:
+        return a
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + log1p(exp(lo - hi))
+
+
+def w_binomial(stats: CellStats) -> float:
+    """Per-draw log binomial mass: ln b(n_ij; n_j, p_i) / n_j, exact in log space."""
+    p_i = stats.p_i
+    if not 0.0 < p_i < 1.0:
+        raise InvalidProbabilityError("requires 0 < p_i < 1")
+    return log_binom_pmf(stats.n_ij, stats.n_j, p_i) / stats.n_j
+
+
+def w_hypergeom_bound(stats: CellStats) -> float:
+    """Per-draw tail bound: pc*ln(p_i/pc) + (1-pc)*ln((1-p_i)/(1-pc)).
+
+    Equals chvatal_log_bound(stats) / n_j by construction.
+    """
+    return chvatal_log_bound(stats) / stats.n_j

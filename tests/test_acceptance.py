@@ -124,14 +124,16 @@ def test_c04_tail_oracle_equivalence_exhaustive():
                     suffix += nums[t - lo]
                     exact_tail[t] = suffix
                 for k in range(0, hi + 2):
-                    value = log_hypergeom_tail(HypergeomParams(k, K, s, N))
-                    tails_checked += 1
-                    if k > hi:
-                        assert value == NEG_INFINITY
-                        continue
-                    exact = 1.0 if k <= lo else exact_tail[k] / denom
-                    rel = abs(exp(value) - exact) / exact
-                    worst_rel = max(worst_rel, rel)
+                    # the pair (ln P(X >= k), ln P(X >= k - 1))
+                    pair = log_hypergeom_tail(HypergeomParams(k, K, s, N))
+                    for value, bound in zip(pair, (k, k - 1)):
+                        tails_checked += 1
+                        if bound > hi:
+                            assert value == NEG_INFINITY
+                            continue
+                        exact = 1.0 if bound <= lo else exact_tail[bound] / denom
+                        rel = abs(exp(value) - exact) / exact
+                        worst_rel = max(worst_rel, rel)
                 # tie the fast integer suffix sums back to the oracle function
                 if N <= 12 or (K * 31 + s) % 53 == 0:
                     for k in range(max(lo, 0), hi + 2):

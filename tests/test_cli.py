@@ -203,6 +203,30 @@ class TestInvalidUtf8:
         self.assert_reported(code, err, bad, 3)
 
 
+class TestRepeatedKeys:
+    """A repeated (term, doc) row or document id exits 2 at the line that repeats it."""
+
+    def test_counts_csv(self, tmp_path, capsys):
+        bad = tmp_path / "dup.csv"
+        # a row that reads like the header is data; the blank line still counts
+        bad.write_text("term,doc,count\nterm,doc,1\na,d1,1\n\nb,d1,2\na,d1,3\n", encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "counts", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:6: duplicate cell ('a', 'd1')\n"
+
+    def test_jsonl(self, tmp_path, capsys):
+        bad = tmp_path / "dup.jsonl"
+        bad.write_text(
+            '{"id": "x", "text": "a b"}\n\n{"id": "y", "text": "b"}\n{"id": "x", "text": "c"}\n',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            "rank", "--input", str(bad), "--format", "jsonl", "--top-k", "1", capsys=capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:4: duplicate document id 'x'\n"
+
+
 class TestRank:
     def test_exclusive_terms_rank_first(self, capsys):
         code, out, _ = run_cli(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_refs import neg_log_tail, pmf_fraction, tail_fraction
+from exact_refs import log_sum_exp, neg_log_tail, pmf_fraction, tail_fraction
 from termfisher.corpus import CellStats
 from termfisher.errors import (
     BoundInapplicableError,
@@ -25,7 +25,6 @@ from termfisher.numerics import (
     log_factorial,
     log_hypergeom_pmf,
     log_hypergeom_tail,
-    log_sum_exp,
 )
 
 
@@ -157,36 +156,74 @@ class TestBinomPmf:
             log_binom_pmf(1, 2, -0.1)
 
 
+def assert_pair_matches_oracle(k, K, s, N, rel_tol=1e-10):
+    """Both elements of the kernel's pair against exact P(X >= k), P(X >= k - 1)."""
+    pair = log_hypergeom_tail(HypergeomParams(k, K, s, N))
+    for value, bound in zip(pair, (k, k - 1)):
+        exact = tail_fraction(max(bound, 0), K, s, N)
+        if exact == 0:
+            assert value == NEG_INFINITY
+        elif exact == 1:
+            assert value == 0.0
+        else:
+            assert isclose(exp(value), float(exact), rel_tol=rel_tol)
+        assert value <= 0.0
+
+
 class TestHypergeomTail:
     def test_k_zero_is_exactly_log_one(self):
-        assert log_hypergeom_tail(HypergeomParams(0, 5, 3, 12)) == 0.0
+        assert log_hypergeom_tail(HypergeomParams(0, 5, 3, 12)) == (0.0, 0.0)
 
     def test_full_support_is_exactly_log_one(self):
         # k at or below the lower support edge covers everything
-        assert log_hypergeom_tail(HypergeomParams(2, 9, 3, 10)) == 0.0
+        assert log_hypergeom_tail(HypergeomParams(2, 9, 3, 10)) == (0.0, 0.0)
 
     def test_exact_small_case(self):
         # 1 - C(2,0)C(2,2)/C(4,2) = 5/6
-        value = log_hypergeom_tail(HypergeomParams(1, 2, 2, 4))
+        value = log_hypergeom_tail(HypergeomParams(1, 2, 2, 4))[0]
         assert isclose(value, log(5 / 6), rel_tol=1e-12)
 
     def test_reference_cell(self):
-        value = log_hypergeom_tail(HypergeomParams(25, 150, 100, 1000))
+        value = log_hypergeom_tail(HypergeomParams(25, 150, 100, 1000))[0]
         assert abs(-value - 5.5429) < 5e-5
 
     def test_empty_tail_is_zero_probability(self):
-        assert log_hypergeom_tail(HypergeomParams(21, 160, 20, 1000)) == NEG_INFINITY
-        assert log_hypergeom_tail(HypergeomParams(99, 5, 8, 40)) == NEG_INFINITY
+        assert log_hypergeom_tail(HypergeomParams(21, 160, 20, 1000))[0] == NEG_INFINITY
+        assert log_hypergeom_tail(HypergeomParams(99, 5, 8, 40)) == (NEG_INFINITY, NEG_INFINITY)
+
+    def test_previous_bound_at_the_lower_support_edge_is_log_one(self):
+        # lo = 2 and k - 1 = lo, on the mirrored path (mode 3)
+        assert_pair_matches_oracle(3, 9, 3, 10)
+        assert log_hypergeom_tail(HypergeomParams(3, 9, 3, 10))[1] == 0.0
+        # lo = 0 and k - 1 = lo, past the mode (mode 0)
+        assert_pair_matches_oracle(1, 2, 2, 40)
+        assert log_hypergeom_tail(HypergeomParams(1, 2, 2, 40))[1] == 0.0
+
+    def test_just_past_the_upper_edge_is_the_last_pmf(self):
+        first, second = log_hypergeom_tail(HypergeomParams(21, 160, 20, 1000))
+        assert first == NEG_INFINITY
+        assert isclose(second, log_hypergeom_pmf(HypergeomParams(20, 160, 20, 1000)), rel_tol=1e-15)
+        assert_pair_matches_oracle(21, 160, 20, 1000)
+        # a one-point support: the tail before hi + 1 is the whole distribution
+        assert log_hypergeom_tail(HypergeomParams(5, 10, 4, 10)) == (NEG_INFINITY, 0.0)
+
+    def test_pair_across_the_mode_seam(self):
+        for K, s, N in ((150, 100, 1000), (7, 30, 60), (500, 500, 1000), (3, 50, 51)):
+            mode = (K + 1) * (s + 1) // (N + 2)
+            for k in range(max(mode - 2, 0), min(mode + 3, min(K, s) + 2)):
+                assert_pair_matches_oracle(k, K, s, N, rel_tol=1e-12)
 
     def test_monotone_nonincreasing_in_k(self):
         for N in (17, 40):
             for K in range(N + 1):
                 for s in range(N + 1):
-                    values = [
+                    pairs = [
                         log_hypergeom_tail(HypergeomParams(k, K, s, N))
                         for k in range(min(K, s) + 2)
                     ]
+                    values = [first for first, _ in pairs]
                     assert all(a >= b for a, b in zip(values, values[1:]))
+                    assert all(second >= first for first, second in pairs)
 
     def test_recurrence_against_pairwise_logsumexp(self):
         for N in (30, 55):
@@ -194,12 +231,13 @@ class TestHypergeomTail:
                 for s in range(1, N, 5):
                     hi = min(K, s)
                     for k in range(max(0, s - (N - K)) + 1, hi + 1):
-                        whole = log_hypergeom_tail(HypergeomParams(k, K, s, N))
+                        whole = log_hypergeom_tail(HypergeomParams(k, K, s, N))[0]
+                        past = log_hypergeom_tail(HypergeomParams(k + 1, K, s, N))
                         split = log_sum_exp(
-                            log_hypergeom_pmf(HypergeomParams(k, K, s, N)),
-                            log_hypergeom_tail(HypergeomParams(k + 1, K, s, N)),
+                            log_hypergeom_pmf(HypergeomParams(k, K, s, N)), past[0]
                         )
                         assert abs(whole - split) < 1e-12
+                        assert abs(past[1] - whole) < 1e-12
 
     def test_normalization_sampled(self):
         for N in (10, 25):
@@ -215,22 +253,19 @@ class TestHypergeomTail:
         for N in (20, 45, 60):
             for K in range(0, N + 1, 4):
                 for s in range(0, N + 1, 3):
-                    for k in range(0, min(K, s) + 2):
-                        exact = tail_fraction(k, K, s, N)
-                        value = log_hypergeom_tail(HypergeomParams(k, K, s, N))
-                        if exact == 0:
-                            assert value == NEG_INFINITY
-                        else:
-                            assert isclose(exp(value), float(exact), rel_tol=1e-10)
+                    for k in range(0, min(K, s) + 3):
+                        assert_pair_matches_oracle(k, K, s, N)
 
     def test_deep_tail_far_below_underflow(self):
         # probability around exp(-172): representable only in log space
-        value = log_hypergeom_tail(HypergeomParams(80, 1200, 80, 10000))
-        assert isclose(value, -neg_log_tail(80, 1200, 80, 10000), rel_tol=1e-11)
+        first, second = log_hypergeom_tail(HypergeomParams(80, 1200, 80, 10000))
+        assert isclose(first, -neg_log_tail(80, 1200, 80, 10000), rel_tol=1e-11)
+        assert isclose(second, -neg_log_tail(79, 1200, 80, 10000), rel_tol=1e-11)
 
     def test_tail_near_one_is_at_most_log_one(self):
         # summing the whole distribution once gave +4.1e-9 here
-        assert log_hypergeom_tail(HypergeomParams(1, 10**6, 10**6, 4 * 10**6)) <= 0.0
+        assert max(log_hypergeom_tail(HypergeomParams(1, 10**6, 10**6, 4 * 10**6))) <= 0.0
+        assert max(log_hypergeom_tail(HypergeomParams(2, 10**6, 10**6, 4 * 10**6))) <= 0.0
 
     @pytest.mark.parametrize(
         "params",
@@ -244,7 +279,7 @@ class TestHypergeomTail:
         start = time.perf_counter()
         value = log_hypergeom_tail(params)
         assert time.perf_counter() - start < 0.25
-        assert value <= 0.0
+        assert max(value) <= 0.0
 
     @given(
         st.integers(min_value=1, max_value=60),
@@ -254,13 +289,8 @@ class TestHypergeomTail:
     def test_tail_matches_oracle_property(self, N, data):
         K = data.draw(st.integers(min_value=0, max_value=N))
         s = data.draw(st.integers(min_value=0, max_value=N))
-        k = data.draw(st.integers(min_value=0, max_value=min(K, s) + 1))
-        exact = tail_fraction(k, K, s, N)
-        value = log_hypergeom_tail(HypergeomParams(k, K, s, N))
-        if exact == 0:
-            assert value == NEG_INFINITY
-        else:
-            assert isclose(exp(value), float(exact), rel_tol=1e-10)
+        k = data.draw(st.integers(min_value=0, max_value=min(K, s) + 2))
+        assert_pair_matches_oracle(k, K, s, N)
 
 
 class TestTailOracle:
@@ -286,7 +316,7 @@ class TestChvatalBound:
     def test_dominates_engine_tail_on_reference_cell(self):
         stats = CellStats(n_ij=25, n_i=150, n_j=100, n=1000, b_i=4, d=20)
         bound = chvatal_log_bound(stats)
-        tail = log_hypergeom_tail(HypergeomParams(26, 150, 100, 1000))
+        tail = log_hypergeom_tail(HypergeomParams(26, 150, 100, 1000))[0]
         assert bound < 0.0
         assert bound >= tail
 

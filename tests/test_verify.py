@@ -7,7 +7,13 @@ from math import comb, isclose, log
 
 import pytest
 
-from exact_refs import binom_pmf_fraction, neg_log_tail, pmf_fraction
+from exact_refs import (
+    binom_pmf_fraction,
+    neg_log_tail,
+    pmf_fraction,
+    w_binomial,
+    w_hypergeom_bound,
+)
 from termfisher.corpus import CellStats, ingest_counts
 from termfisher.errors import (
     BoundInapplicableError,
@@ -35,8 +41,6 @@ from termfisher.verify import (
     render_tables_text,
     reproduce_typical_table,
     reproduce_validation_table,
-    w_binomial,
-    w_hypergeom_bound,
 )
 from termfisher.weights import fisher_weight, phi, psi, q_ij, tfidf, tficf
 

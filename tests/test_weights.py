@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import termfisher.numerics
 import termfisher.weights
-from exact_refs import neg_log_tail, quotient
-from termfisher.corpus import CellStats, ingest_counts, ingest_text
+from exact_refs import log_fraction, neg_log_tail, quotient, tail_fraction
+from termfisher.corpus import CellStats, TermDocumentMatrix, ingest_counts, ingest_text
 from termfisher.errors import UndefinedPhiError, UndefinedQuotientError
+from termfisher.numerics import HypergeomParams, log_hypergeom_tail
 from termfisher.weights import (
     SCHEMES,
     WeightRecord,
@@ -268,7 +270,24 @@ def reference_record(matrix, i, j):
     )
 
 
-def assert_matches_cell_by_cell(matrix, include_zeros):
+# the record fields each scheme fills; tf is always filled
+SCHEME_FIELDS = {
+    "tf": (), "idf": ("idf",), "icf": ("icf",), "tfidf": ("tfidf",), "tficf": ("tficf",),
+    "fisher": ("neg_log_p",), "phi": ("q", "phi"), "psi": ("q", "psi"),
+    "approximations": ("q", "phi", "psi", "thm1_approx", "cor1_approx"),
+}
+
+
+def restrict(record, schemes):
+    """The record with only the fields, and the notes, of the selected schemes."""
+    kept = {field for name in schemes for field in SCHEME_FIELDS[name]}
+    return record._replace(
+        **{field: None for field in WeightRecord._fields[3:-1] if field not in kept},
+        notes=tuple(note for note in record.notes if note.split(":")[0] in kept),
+    )
+
+
+def assert_matches_cell_by_cell(matrix, include_zeros, schemes=None):
     if include_zeros:
         cells = [(i, j) for j in range(matrix.d) for i in range(matrix.m)]
     else:
@@ -276,7 +295,9 @@ def assert_matches_cell_by_cell(matrix, include_zeros):
     expected = [
         reference_record(matrix, i, j) for i, j in cells if matrix.col_totals[j] > 0
     ]
-    records = weigh_matrix(matrix, include_zeros=include_zeros)
+    if schemes is not None:
+        expected = [restrict(record, schemes) for record in expected]
+    records = weigh_matrix(matrix, schemes, include_zeros=include_zeros)
     assert records == expected
     assert [r.notes for r in records] == [r.notes for r in expected]
 
@@ -309,6 +330,24 @@ def repeating_count_rows(draw):
     return rows
 
 
+@st.composite
+def count_rows(draw):
+    """Counts rows of a drawn matrix of up to 5 terms by 5 documents.
+
+    Counts are small, so cells often share (n_ij, n_i, b_i) while their
+    documents differ in length; a document may be empty.
+    """
+    terms = draw(st.integers(min_value=1, max_value=5))
+    docs = draw(st.integers(min_value=1, max_value=5))
+    counts = draw(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=terms * docs, max_size=terms * docs)
+    )
+    rows = [(f"t{k % terms}", f"d{k // terms}", c) for k, c in enumerate(counts)]
+    if not any(counts):
+        rows.append(("t0", "extra", 1))
+    return rows
+
+
 class TestWeighMatrixMemo:
     """weigh_matrix evaluates each distinct cell key once per call."""
 
@@ -316,6 +355,72 @@ class TestWeighMatrixMemo:
     @settings(max_examples=150, deadline=None)
     def test_matches_cell_by_cell_evaluation(self, rows, include_zeros):
         assert_matches_cell_by_cell(ingest_counts(rows), include_zeros)
+
+    @given(
+        st.one_of(count_rows(), repeating_count_rows()),
+        st.sets(st.sampled_from(sorted(SCHEMES)), min_size=1),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scheme_subsets_match_cell_by_cell_evaluation(self, rows, schemes, include_zeros):
+        assert_matches_cell_by_cell(ingest_counts(rows), include_zeros, schemes)
+
+    @pytest.mark.parametrize("scheme, field", [("psi", "psi"), ("fisher", "neg_log_p")])
+    def test_cells_that_differ_only_in_document_length(self, scheme, field):
+        # ("a", "d1") and ("a", "d2") share n_ij = 1, n_i = 2, b_i = 2; n_j is 1 and 4
+        matrix = ingest_counts([("a", "d1", 1), ("a", "d2", 1), ("b", "d2", 3)])
+        first, second = weigh_matrix(matrix, {scheme})[:2]
+        assert (first.doc, second.doc) == ("d1", "d2")
+        assert getattr(first, field) != getattr(second, field)
+        assert_matches_cell_by_cell(matrix, False, {scheme})
+        assert_matches_cell_by_cell(matrix, True, {scheme})
+
+    def test_classic_schemes_build_one_cell_per_distinct_value(self, monkeypatch):
+        calls = []
+        cell_stats = TermDocumentMatrix.cell_stats
+
+        def counting(matrix, i, j):
+            calls.append((i, j))
+            return cell_stats(matrix, i, j)
+
+        monkeypatch.setattr(TermDocumentMatrix, "cell_stats", counting)
+        # documents of lengths 2, 3 and 2: tfidf and tficf do not read n_j
+        matrix = ingest_text([("d1", "a b"), ("d2", "a b c"), ("d3", "c c")])
+        records = weigh_matrix(matrix, {"tfidf", "tficf"})
+        stats = [cell_stats(matrix, i, j) for i, j in matrix.nonzero_cells()]
+        assert len(calls) == len({(s.n_ij, s.n_i, s.b_i) for s in stats}) == 3
+        assert len({(s.n_ij, s.n_i, s.n_j, s.b_i) for s in stats}) == 4
+        assert len(records) == 6
+
+    def test_one_log_pmf_per_kernel_call(self, monkeypatch):
+        pmf_calls = []
+        pmf = termfisher.numerics.log_hypergeom_pmf
+
+        def counting_pmf(params):
+            pmf_calls.append(params)
+            return pmf(params)
+
+        per_kernel_call = []
+        kernel = termfisher.weights.log_hypergeom_tail
+
+        def counting_kernel(params):
+            before = len(pmf_calls)
+            result = kernel(params)
+            per_kernel_call.append(len(pmf_calls) - before)
+            return result
+
+        monkeypatch.setattr(termfisher.numerics, "log_hypergeom_pmf", counting_pmf)
+        # also counted if the weights module evaluates a log-pmf of its own
+        monkeypatch.setattr(termfisher.weights, "log_hypergeom_pmf", counting_pmf, raising=False)
+        monkeypatch.setattr(termfisher.weights, "log_hypergeom_tail", counting_kernel)
+        # with the zero cells: tails past and below the mode, at the upper
+        # support edge (a term filling its document) and at the lower one
+        matrix = ingest_text(
+            [("d1", "apple apple apple pear plum"), ("d2", "pear pear plum quince"), ("d3", "fig")]
+        )
+        weigh_matrix(matrix, include_zeros=True)
+        assert per_kernel_call and max(per_kernel_call) <= 1
+        assert len(pmf_calls) <= len(per_kernel_call)
 
     def test_one_tail_evaluation_per_distinct_key(self, monkeypatch):
         calls = []
@@ -446,7 +551,17 @@ class TestLargePopulations:
     def test_exact_oracle_up_to_ten_million(self, cell):
         # n_j is kept small so the big-integer sums stay fast
         stats = make_stats(*cell, b_i=1, d=1)
-        assert abs(fisher_weight(stats) - neg_log_tail(*cell)) <= ERROR_BUDGET
+        exact = neg_log_tail(*cell)
+        assert abs(fisher_weight(stats) - exact) <= ERROR_BUDGET
+        # the kernel's pair at n_ij + 1: ln P(X >= n_ij + 1), ln P(X >= n_ij)
+        n_ij, n_i, n_j, n = cell
+        past, at = log_hypergeom_tail(HypergeomParams(n_ij + 1, n_i, n_j, n))
+        assert abs(at + exact) <= ERROR_BUDGET
+        exact_past = tail_fraction(n_ij + 1, n_i, n_j, n)
+        if exact_past == 0:
+            assert past == -inf
+        else:
+            assert abs(past - log_fraction(exact_past)) <= ERROR_BUDGET
         if stats.n_i < stats.n:
             try:
                 exact = quotient(*cell)
