@@ -40,10 +40,7 @@ from .verify import (
 )
 from .weights import SCHEMES, WeightRecord, weigh_matrix
 
-TSV_COLUMNS = (
-    "term", "doc", "tf", "idf", "icf", "tfidf", "tficf",
-    "neg_log_p", "q", "phi", "psi", "thm1_approx", "cor1_approx",
-)
+TSV_COLUMNS = WeightRecord._fields[:-1]  # every field but notes
 
 # rank scheme -> (weigh_matrix scheme that computes it, WeightRecord field)
 RANK_SCHEMES = {

@@ -65,8 +65,6 @@ class CellStats:
     n: int     # terms in the collection
     b_i: int   # documents containing the term
     d: int     # documents in the collection
-    i: int = 0
-    j: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
@@ -89,14 +87,6 @@ class CellStats:
     def p_i(self) -> float:
         """Proportion of the collection made up by the term."""
         return self.n_i / self.n
-
-    @property
-    def p_tilde(self) -> float:
-        """Proportion of the term's occurrences outside the document.
-
-        Raises ZeroDivisionError when the document is the whole collection.
-        """
-        return (self.n_i - self.n_ij) / (self.n - self.n_j)
 
     @property
     def p_check(self) -> float:
@@ -218,8 +208,6 @@ class TermDocumentMatrix:
             n=self._grand_total,
             b_i=self._doc_freq[i],
             d=self.d,
-            i=i,
-            j=j,
         )
 
     def nonzero_cells(self) -> Iterator[tuple[int, int]]:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .corpus import CellStats, TermDocumentMatrix, ingest_counts
 from .errors import InvalidSyntheticSpecError
 from .numerics import HypergeomParams, log_binom_pmf, log_hypergeom_pmf
-from .weights import fisher_weight, phi, psi, q_ij, tfidf, tficf
+from .weights import SCHEMES, WeightRecord, _cell_record, fisher_weight, q_ij, tfidf
 
 TABLE_TOLERANCE = 5e-5  # match at four printed decimals
 
@@ -43,17 +43,6 @@ class CellParams(NamedTuple):
     n_j: int
     n_ij: int
     d: int
-
-
-def cell_stats_from_params(params: CellParams) -> CellStats:
-    return CellStats(
-        n_ij=params.n_ij,
-        n_i=params.n_i,
-        n_j=params.n_j,
-        n=params.n,
-        b_i=params.b_i,
-        d=params.d,
-    )
 
 
 @dataclass(frozen=True)
@@ -141,14 +130,15 @@ class TableRow:
 
 
 def evaluate_setting(setting: TableSetting) -> TableRow:
-    stats = cell_stats_from_params(setting.params)
-    neg_log_p = fisher_weight(stats)
-    q = q_ij(stats)
+    """The setting's formulas, read from the record weigh_matrix gives its cell."""
+    stats = CellStats(**setting.params._asdict())
+    record = WeightRecord("", "", *_cell_record(stats, SCHEMES))
+    neg_log_p = record.neg_log_p
     values = {
         "neg_log_p": neg_log_p,
-        "tficf_phi": tficf(stats) + phi(stats, q),
-        "tfidf_psi": tfidf(stats) + psi(stats, q),
-        "tfidf": tfidf(stats),
+        "tficf_phi": record.thm1_approx,
+        "tfidf_psi": record.cor1_approx,
+        "tfidf": record.tfidf,
     }
     # gap relative to the formula of interest, as a percentage
     deltas = {name: abs(neg_log_p - v) / abs(v) * 100.0 for name, v in values.items()}
@@ -358,70 +348,6 @@ class SyntheticSpec:
         )
 
 
-def embed_cell_counts(
-    params: CellParams,
-    *,
-    focal_term: str = "focal",
-    filler_term: str = "filler",
-) -> list[tuple[str, str, int]]:
-    """Count rows for a d-document collection realizing the given cell exactly.
-
-    The focal cell lands in document 0; the remaining occupancy is padded
-    with one filler term so that all of (n, n_i, n_j, n_ij, b_i, d) hold.
-    """
-    n, n_i, b_i, n_j, n_ij, d = params
-    if n_ij < 1:
-        raise InvalidSyntheticSpecError("focal cell needs n_ij >= 1")
-    if n_ij > min(n_i, n_j):
-        raise InvalidSyntheticSpecError("n_ij cannot exceed min(n_i, n_j)")
-    if not 1 <= b_i <= d:
-        raise InvalidSyntheticSpecError("need 1 <= b_i <= d")
-    if b_i == 1:
-        if n_i != n_ij:
-            raise InvalidSyntheticSpecError("b_i = 1 requires n_i = n_ij")
-    elif n_i - n_ij < b_i - 1:
-        raise InvalidSyntheticSpecError(
-            "remaining focal occurrences cannot cover b_i - 1 other documents"
-        )
-    leftover = n - n_i - (n_j - n_ij)
-    if leftover < 0:
-        raise InvalidSyntheticSpecError("n too small for the requested cell")
-    if d == 1 and leftover > 0:
-        raise InvalidSyntheticSpecError("single document cannot absorb leftover occurrences")
-
-    def doc_id(j: int) -> str:
-        return f"doc{j:05d}"
-
-    rows: list[tuple[str, str, int]] = [(focal_term, doc_id(0), n_ij)]
-    if n_j > n_ij:
-        rows.append((filler_term, doc_id(0), n_j - n_ij))
-
-    # spread the focal remainder over the other containing documents, each >= 1
-    focal_share = [0] * d
-    if b_i > 1:
-        base, extra = divmod(n_i - n_ij, b_i - 1)
-        for j in range(1, b_i):
-            focal_share[j] = base + (1 if j - 1 < extra else 0)
-
-    filler_share = [0] * d
-    if d > 1:
-        base, extra = divmod(leftover, d - 1)
-        for j in range(1, d):
-            filler_share[j] = base + (1 if j - 1 < extra else 0)
-
-    for j in range(1, d):
-        mentioned = False
-        if focal_share[j] > 0:
-            rows.append((focal_term, doc_id(j), focal_share[j]))
-            mentioned = True
-        if filler_share[j] > 0:
-            rows.append((filler_term, doc_id(j), filler_share[j]))
-            mentioned = True
-        if not mentioned:
-            rows.append((filler_term, doc_id(j), 0))  # register the empty document
-    return rows
-
-
 # -- convergence checks -------------------------------------------------------
 
 
@@ -527,6 +453,8 @@ def binomial_decay_check(
     At fixed p_i = K/N, the pointwise PMF gap decays like 1/N, so doubling N
     must shrink it by a factor inside the band.
     """
+    if k < 0 or s < 0:
+        raise InvalidSyntheticSpecError(f"need k >= 0 and s >= 0, got k={k}, s={s}")
     binom = 0.0 if k > s else exp(log_binom_pmf(k, s, p_i))
     points: list[DecayPoint] = []
     prev: tuple[int, float] | None = None
@@ -552,22 +480,22 @@ def binomial_decay_check(
 # -- rendering ----------------------------------------------------------------
 
 
-def _format_block(title: str, settings: Sequence[TableSetting], rows: Sequence[TableRow]) -> str:
+def _format_block(title: str, rows: Sequence[TableRow]) -> str:
     label_w, col_w = 12, 11
     lines = [f"== {title} =="]
     header_params = [
-        ("", [f"n={s.params.n}" for s in settings], [f"n_j={s.params.n_j}" for s in settings]),
-        ("", [f"n_i={s.params.n_i}" for s in settings], [f"n_ij={s.params.n_ij}" for s in settings]),
-        ("", [f"b_i={s.params.b_i}" for s in settings], [f"d={s.params.d}" for s in settings]),
+        ([f"n={r.params.n}" for r in rows], [f"n_j={r.params.n_j}" for r in rows]),
+        ([f"n_i={r.params.n_i}" for r in rows], [f"n_ij={r.params.n_ij}" for r in rows]),
+        ([f"b_i={r.params.b_i}" for r in rows], [f"d={r.params.d}" for r in rows]),
     ]
-    name_line = " " * label_w + "".join(f"{s.label:<{2 * col_w}}" for s in settings)
+    name_line = " " * label_w + "".join(f"{r.label:<{2 * col_w}}" for r in rows)
     lines.append(name_line.rstrip())
-    for _, left, right in header_params:
+    for left, right in header_params:
         line = " " * label_w + "".join(
             f"{a:<{col_w}}{b:<{col_w}}" for a, b in zip(left, right)
         )
         lines.append(line.rstrip())
-    sub = " " * label_w + "".join(f"{'result':<{col_w}}{'|delta%|':<{col_w}}" for _ in settings)
+    sub = " " * label_w + "".join(f"{'result':<{col_w}}{'|delta%|':<{col_w}}" for _ in rows)
     lines.append(sub.rstrip())
     for name in FORMULAS:
         cells = "".join(
@@ -582,9 +510,9 @@ def render_tables_text(validation: Sequence[TableRow], typical: Sequence[TableRo
     small = [r for r in validation if r.block == "small"]
     large = [r for r in validation if r.block == "large"]
     blocks = [
-        _format_block("Reference settings: small collections", VALIDATION_SETTINGS[:3], small),
-        _format_block("Reference settings: large collections", VALIDATION_SETTINGS[3:], large),
-        _format_block("Typical-data settings", TYPICAL_SETTINGS, typical),
+        _format_block("Reference settings: small collections", small),
+        _format_block("Reference settings: large collections", large),
+        _format_block("Typical-data settings", typical),
     ]
     return "\n\n".join(blocks) + "\n"
 

@@ -26,8 +26,6 @@ SCHEMES = frozenset(
 
 def idf(stats: CellStats) -> float:
     """Inverse document frequency ln(d / b_i); 0 for a term in every document."""
-    if stats.b_i < 1:
-        raise UndefinedWeightError("idf requires b_i >= 1")
     return log(stats.d / stats.b_i)
 
 
@@ -99,8 +97,6 @@ def psi(stats: CellStats, q: float) -> float:
 
     -n_ij*(1 - b_i/d)*(1 - p_ij) - q, with q = q_ij(stats).
     """
-    if not 1 <= stats.b_i <= stats.d:
-        raise UndefinedWeightError("psi requires 1 <= b_i <= d")
     # from 0.0, not by negation, so that a zero correction is +0.0
     return 0.0 - stats.n_ij * (1.0 - stats.b_i / stats.d) * (1.0 - stats.p_ij) - q
 

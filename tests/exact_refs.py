@@ -4,15 +4,17 @@ The references are built from integers and Fractions only: tail sums are
 big-integer binomial sums, probabilities are exact rationals, and logs are
 taken of (big) integers, which math.log handles at full precision. They
 share no code with the package's log-space engine. The helpers at the end
-(log_sum_exp and the per-draw quantities) are float code, not references.
+(log_sum_exp, the per-draw quantities and embed_cell_counts) are not
+references.
 """
 
 from fractions import Fraction
 from math import comb, exp, inf, log, log1p
 
 from termfisher.corpus import CellStats
-from termfisher.errors import InvalidProbabilityError
+from termfisher.errors import InvalidProbabilityError, InvalidSyntheticSpecError
 from termfisher.numerics import chvatal_log_bound, log_binom_pmf
+from termfisher.verify import CellParams
 
 
 def support(K: int, s: int, N: int) -> tuple[int, int]:
@@ -94,3 +96,64 @@ def w_hypergeom_bound(stats: CellStats) -> float:
     Equals chvatal_log_bound(stats) / n_j by construction.
     """
     return chvatal_log_bound(stats) / stats.n_j
+
+
+def embed_cell_counts(params: CellParams) -> list[tuple[str, str, int]]:
+    """Count rows for a d-document collection realizing the given cell exactly.
+
+    The focal cell (term "focal") lands in document "doc00000"; the remaining
+    occupancy is padded with the term "filler" so that all of
+    (n, n_i, n_j, n_ij, b_i, d) hold.
+    """
+    focal_term, filler_term = "focal", "filler"
+    n, n_i, b_i, n_j, n_ij, d = params
+    if n_ij < 1:
+        raise InvalidSyntheticSpecError("focal cell needs n_ij >= 1")
+    if n_ij > min(n_i, n_j):
+        raise InvalidSyntheticSpecError("n_ij cannot exceed min(n_i, n_j)")
+    if not 1 <= b_i <= d:
+        raise InvalidSyntheticSpecError("need 1 <= b_i <= d")
+    if b_i == 1:
+        if n_i != n_ij:
+            raise InvalidSyntheticSpecError("b_i = 1 requires n_i = n_ij")
+    elif n_i - n_ij < b_i - 1:
+        raise InvalidSyntheticSpecError(
+            "remaining focal occurrences cannot cover b_i - 1 other documents"
+        )
+    leftover = n - n_i - (n_j - n_ij)
+    if leftover < 0:
+        raise InvalidSyntheticSpecError("n too small for the requested cell")
+    if d == 1 and leftover > 0:
+        raise InvalidSyntheticSpecError("single document cannot absorb leftover occurrences")
+
+    def doc_id(j: int) -> str:
+        return f"doc{j:05d}"
+
+    rows: list[tuple[str, str, int]] = [(focal_term, doc_id(0), n_ij)]
+    if n_j > n_ij:
+        rows.append((filler_term, doc_id(0), n_j - n_ij))
+
+    # spread the focal remainder over the other containing documents, each >= 1
+    focal_share = [0] * d
+    if b_i > 1:
+        base, extra = divmod(n_i - n_ij, b_i - 1)
+        for j in range(1, b_i):
+            focal_share[j] = base + (1 if j - 1 < extra else 0)
+
+    filler_share = [0] * d
+    if d > 1:
+        base, extra = divmod(leftover, d - 1)
+        for j in range(1, d):
+            filler_share[j] = base + (1 if j - 1 < extra else 0)
+
+    for j in range(1, d):
+        mentioned = False
+        if focal_share[j] > 0:
+            rows.append((focal_term, doc_id(j), focal_share[j]))
+            mentioned = True
+        if filler_share[j] > 0:
+            rows.append((filler_term, doc_id(j), filler_share[j]))
+            mentioned = True
+        if not mentioned:
+            rows.append((filler_term, doc_id(j), 0))  # register the empty document
+    return rows

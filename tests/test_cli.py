@@ -373,6 +373,13 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {"quotient", "convergence", "decay"} <= {r["check"] for r in rows}
 
+    @pytest.mark.parametrize("flag", ["--decay-k", "--decay-s"])
+    def test_negative_decay_count_is_invalid_input(self, flag, capsys):
+        code, _, err = run_cli("sweep", flag, "-1", capsys=capsys)
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
 
 class TestOutputFile:
     """--output receives exactly the bytes stdout would, and only on success."""

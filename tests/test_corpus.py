@@ -1,12 +1,10 @@
 """Tests for ingestion, the term-document matrix, and per-cell statistics."""
 
-from fractions import Fraction
-from math import isclose
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_refs import embed_cell_counts
 from termfisher.corpus import (
     CellStats,
     TermDocumentMatrix,
@@ -106,7 +104,7 @@ class TestIngestCounts:
 
     def test_reference_cell_embedding(self):
         # totals n=1000, n_i=150, n_j=100, n_ij=25, b_i=4, d=20 padded with filler
-        from termfisher.verify import CellParams, embed_cell_counts
+        from termfisher.verify import CellParams
 
         rows = embed_cell_counts(CellParams(n=1000, n_i=150, b_i=4, n_j=100, n_ij=25, d=20))
         matrix = ingest_counts(rows)
@@ -144,15 +142,6 @@ class TestCellStats:
         assert stats.p_ij == 0.25
         assert stats.p_check == 0.26
         assert stats.p_i == 0.15
-
-    def test_p_tilde_exact_rational(self):
-        stats = CellStats(n_ij=25, n_i=150, n_j=100, n=1000, b_i=4, d=20)
-        assert isclose(stats.p_tilde, float(Fraction(125, 900)), rel_tol=1e-15)
-
-    def test_p_tilde_undefined_for_whole_collection_document(self):
-        stats = CellStats(n_ij=3, n_i=3, n_j=10, n=10, b_i=1, d=1)
-        with pytest.raises(ZeroDivisionError):
-            stats.p_tilde
 
     def test_p_check_identity(self):
         stats = CellStats(n_ij=7, n_i=40, n_j=50, n=600, b_i=3, d=12)

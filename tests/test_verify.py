@@ -7,8 +7,10 @@ from math import comb, isclose, log
 
 import pytest
 
+import termfisher.weights
 from exact_refs import (
     binom_pmf_fraction,
+    embed_cell_counts,
     neg_log_tail,
     pmf_fraction,
     w_binomial,
@@ -32,7 +34,7 @@ from termfisher.verify import (
     check_reference_tables,
     cor2_convergence,
     default_quotient_grid,
-    embed_cell_counts,
+    evaluate_setting,
     in_quotient_regime,
     lemma1_sweep,
     render_sweep_csv,
@@ -42,7 +44,7 @@ from termfisher.verify import (
     reproduce_typical_table,
     reproduce_validation_table,
 )
-from termfisher.weights import fisher_weight, phi, psi, q_ij, tfidf, tficf
+from termfisher.weights import fisher_weight, phi, psi, q_ij, tfidf, tficf, weigh_matrix
 
 
 class TestReferenceTables:
@@ -82,6 +84,29 @@ class TestReferenceTables:
     def test_check_reports_no_mismatches(self):
         _, mismatches = check_reference_tables()
         assert mismatches == []
+
+    def test_values_are_the_weigh_records_of_the_embedded_cell(self):
+        for setting in VALIDATION_SETTINGS + TYPICAL_SETTINGS:
+            matrix = ingest_counts(embed_cell_counts(setting.params))
+            records = {(r.term, r.doc): r for r in weigh_matrix(matrix)}
+            focal = records[("focal", "doc00000")]
+            values = evaluate_setting(setting).values
+            assert focal.neg_log_p == values["neg_log_p"]
+            assert focal.thm1_approx == values["tficf_phi"]
+            assert focal.cor1_approx == values["tfidf_psi"]
+            assert focal.tfidf == values["tfidf"]
+
+    def test_one_tail_evaluation_per_setting(self, monkeypatch):
+        calls = []
+        kernel = termfisher.weights.log_hypergeom_tail
+
+        def counting(params):
+            calls.append(params)
+            return kernel(params)
+
+        monkeypatch.setattr(termfisher.weights, "log_hypergeom_tail", counting)
+        check_reference_tables()
+        assert len(calls) == len(VALIDATION_SETTINGS + TYPICAL_SETTINGS) == 8
 
     def test_injected_perturbation_is_caught(self, monkeypatch):
         expected = VALIDATION_SETTINGS[0].expected  # small/general

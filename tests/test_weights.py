@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import termfisher.numerics
 import termfisher.weights
-from exact_refs import log_fraction, neg_log_tail, quotient, tail_fraction
+from exact_refs import embed_cell_counts, log_fraction, neg_log_tail, quotient, tail_fraction
 from termfisher.corpus import CellStats, TermDocumentMatrix, ingest_counts, ingest_text
 from termfisher.errors import UndefinedPhiError, UndefinedQuotientError
 from termfisher.numerics import HypergeomParams, log_hypergeom_tail
@@ -171,7 +171,7 @@ class TestWeighMatrix:
         assert record.notes
 
     def test_reference_cell_through_matrix(self):
-        from termfisher.verify import CellParams, embed_cell_counts
+        from termfisher.verify import CellParams
 
         rows = embed_cell_counts(CellParams(n=10000, n_i=125, b_i=12, n_j=75, n_ij=7, d=175))
         matrix = ingest_counts(rows)
