@@ -11,6 +11,8 @@ import argparse
 import csv
 import heapq
 import sys
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -125,15 +127,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args)
     scheme, field = RANK_SCHEMES[args.scheme]
     records = weigh_matrix(matrix, {scheme})
-    by_doc: dict[str, list[tuple[float, str]]] = {}
-    for record in records:
-        score = getattr(record, field)
-        if score is None:
-            continue
-        by_doc.setdefault(record.doc, []).append((float(score), record.term))
     lines = ["doc\trank\tterm\tscore\n"]
-    for doc in matrix.docs:
-        best = heapq.nsmallest(args.top_k, by_doc.get(doc, ()), key=lambda p: (-p[0], p[1]))
+    # records come document-major, so each document's cells are one run
+    for doc, run in groupby(records, key=attrgetter("doc")):
+        scored = ((float(score), r.term) for r in run if (score := getattr(r, field)) is not None)
+        best = heapq.nsmallest(args.top_k, scored, key=lambda p: (-p[0], p[1]))
         for rank, (score, term) in enumerate(best, start=1):
             lines.append(f"{doc}\t{rank}\t{term}\t{score:.6f}\n")
     _emit(lines, args.output)
@@ -196,22 +194,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _emit([render_sweep_csv(quotient, convergence, decay)], args.output)
     else:
         _emit([render_sweep_text(quotient, convergence, decay)], args.output)
-    failed = False
+    failures = []
+    if not quotient.results:
+        failures.append("quotient sweep checked no point")
     for result in quotient.failures:
         p = result.point
-        print(
-            f"sweep failure: quotient at n={p.n} n_i={p.n_i} n_j={p.n_j} n_ij={p.n_ij}: "
-            f"q={result.q} {result.note}",
-            file=sys.stderr,
+        failures.append(
+            f"quotient at n={p.n} n_i={p.n_i} n_j={p.n_j} n_ij={p.n_ij}: q={result.q} {result.note}"
         )
-        failed = True
-    if not convergence.passed:
-        print("sweep failure: convergence errors not halving as required", file=sys.stderr)
-        failed = True
-    if not decay.passed:
-        print("sweep failure: pmf gap not halving as required", file=sys.stderr)
-        failed = True
-    return 3 if failed else 0
+    if not convergence.checked:
+        failures.append("convergence checked no doubling pair")
+    elif not convergence.passed:
+        failures.append("convergence errors not halving as required")
+    if not decay.checked:
+        failures.append("pmf decay checked no doubling pair")
+    elif not decay.passed:
+        failures.append("pmf gap not halving as required")
+    for failure in failures:
+        print(f"sweep failure: {failure}", file=sys.stderr)
+    return 3 if failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import re
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,10 +102,12 @@ class TermDocumentMatrix:
     Terms whose total count is zero are dropped; documents are retained even
     when empty (they still count toward d). Counts are stored by column: per
     document, a read-only map from term index to positive count, in
-    ascending term order.
+    ascending term order. The constructor takes the same shape, one mapping
+    per document from term index to count, and copies each column sorted,
+    without its zeros.
     """
 
-    def __init__(self, vocab: Sequence[str], docs: Sequence[str], counts: dict[tuple[int, int], int]):
+    def __init__(self, vocab: Sequence[str], docs: Sequence[str], columns: Sequence[Mapping[int, int]]):
         self._vocab: tuple[str, ...] = tuple(vocab)
         self._docs: tuple[str, ...] = tuple(docs)
         self._term_index = {t: i for i, t in enumerate(self._vocab)}
@@ -113,25 +116,28 @@ class TermDocumentMatrix:
         m, d = len(self._vocab), len(self._docs)
         if m < 1 or d < 1:
             raise EmptyCollectionError("matrix must contain at least one term and one document")
+        if len(columns) != d:
+            raise IndexOutOfRangeError(f"{len(columns)} columns for {d} documents")
         row = [0] * m
-        col = [0] * d
         freq = [0] * m
-        columns: list[dict[int, int]] = [{} for _ in range(d)]
-        for (i, j), c in counts.items():
-            if not (0 <= i < m and 0 <= j < d):
+        stored = []
+        for j, column in enumerate(columns):
+            cells = sorted(column.items())
+            if cells and not (0 <= cells[0][0] and cells[-1][0] < m):
+                i = cells[0][0] if cells[0][0] < 0 else cells[-1][0]
                 raise IndexOutOfRangeError(f"cell ({i}, {j}) outside {m}x{d} matrix")
-            if c < 0:
-                raise NegativeCountError(f"negative count at cell ({i}, {j})")
-            if c > 0:
-                row[i] += c
-                col[j] += c
-                freq[i] += 1
-                columns[j][i] = c
-        if any(r == 0 for r in row):
+            for i, c in cells:
+                if c < 0:
+                    raise NegativeCountError(f"negative count at cell ({i}, {j})")
+                if c:
+                    row[i] += c
+                    freq[i] += 1
+            stored.append(MappingProxyType({i: c for i, c in cells if c}))
+        if 0 in row:
             raise EmptyCollectionError("every retained term must have a positive total")
-        self._columns = tuple(MappingProxyType(dict(sorted(c.items()))) for c in columns)
+        self._columns = tuple(stored)
         self._row_totals = tuple(row)
-        self._col_totals = tuple(col)
+        self._col_totals = tuple(sum(column.values()) for column in stored)
         self._doc_freq = tuple(freq)
         self._grand_total = sum(row)
 
@@ -270,27 +276,27 @@ def ingest_text(
     term_index: dict[str, int] = {}
     docs: list[str] = []
     doc_index: dict[str, int] = {}
-    counts: dict[tuple[int, int], int] = {}
+    columns: list[dict[int, int]] = []
 
     for doc_id, text in documents:
         if doc_id in doc_index:
             raise DuplicateDocIdError(f"duplicate document id {doc_id!r}")
-        j = len(docs)
-        doc_index[doc_id] = j
+        doc_index[doc_id] = len(docs)
         docs.append(doc_id)
-        for token in tokenize(text, lowercase=lowercase, stopwords=stopwords):
+        column: dict[int, int] = {}
+        for token, count in Counter(tokenize(text, lowercase=lowercase, stopwords=stopwords)).items():
             i = term_index.get(token)
             if i is None:
-                i = len(vocab)
-                term_index[token] = i
+                i = term_index[token] = len(vocab)
                 vocab.append(token)
-            counts[(i, j)] = counts.get((i, j), 0) + 1
+            column[i] = count
+        columns.append(column)
 
     if not docs:
         raise EmptyCollectionError("no documents provided")
     if not vocab:
         raise EmptyCollectionError("no tokens survived tokenization")
-    return TermDocumentMatrix(vocab, docs, counts)
+    return TermDocumentMatrix(vocab, docs, columns)
 
 
 def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
@@ -303,38 +309,40 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
     """
     vocab: list[str] = []
     term_index: dict[str, int] = {}
+    totals: list[int] = []
     docs: list[str] = []
     doc_index: dict[str, int] = {}
-    counts: dict[tuple[int, int], int] = {}
-    totals: dict[int, int] = {}
+    columns: list[dict[int, int]] = []
 
     for term, doc, count in rows:
         if count < 0:
             raise NegativeCountError(f"negative count {count} for ({term!r}, {doc!r})")
         i = term_index.get(term)
         if i is None:
-            i = len(vocab)
-            term_index[term] = i
+            i = term_index[term] = len(vocab)
             vocab.append(term)
+            totals.append(0)
         j = doc_index.get(doc)
         if j is None:
-            j = len(docs)
-            doc_index[doc] = j
+            j = doc_index[doc] = len(docs)
             docs.append(doc)
-        if (i, j) in counts:
+            columns.append({})
+        column = columns[j]
+        if i in column:
             raise DuplicateCellError(f"duplicate cell ({term!r}, {doc!r})")
-        counts[(i, j)] = count
-        totals[i] = totals.get(i, 0) + count
+        column[i] = count
+        totals[i] += count
 
     if not docs:
         raise EmptyCollectionError("no count rows provided")
-    kept = [i for i in range(len(vocab)) if totals.get(i, 0) > 0]
+    kept = [i for i, total in enumerate(totals) if total > 0]
     if not kept:
         raise EmptyCollectionError("all terms have zero total count")
     if len(kept) < len(vocab):  # renumber; the matrix itself drops zero cells
         remap = {i: new_i for new_i, i in enumerate(kept)}
-        counts = {(remap[i], j): c for (i, j), c in counts.items() if i in remap}
-    return TermDocumentMatrix([vocab[i] for i in kept], docs, counts)
+        columns = [{remap[i]: c for i, c in column.items() if i in remap} for column in columns]
+        vocab = [vocab[i] for i in kept]
+    return TermDocumentMatrix(vocab, docs, columns)
 
 
 # -- file formats -------------------------------------------------------------
@@ -354,10 +362,34 @@ def open_text(path: str | Path, newline: str | None) -> Iterator[TextIO]:
         raise InputFormatError(f"invalid UTF-8: {exc.reason}", path=str(path), line=line) from None
 
 
+def _checked_name(name: str, what: str, path: Path, line: int) -> str:
+    """name, if it can be written as one TSV field; else InputFormatError.
+
+    A name may not hold what would break a TSV row (tab, CR, LF) or what
+    UTF-8 cannot encode (a lone surrogate). None of these is printable, so
+    most names pass on the first test.
+    """
+    if not name.isprintable():
+        for char in name:
+            if char in "\t\n\r" or "\ud800" <= char <= "\udfff":
+                raise InputFormatError(
+                    f"{what} {name!r} holds {char!r}: a name may not hold a tab, CR, LF "
+                    "or lone surrogate (bytes that are not UTF-8)",
+                    path=str(path),
+                    line=line,
+                )
+    return name
+
+
 def read_counts_csv(path: str | Path) -> list[tuple[str, str, int]]:
-    """Read a counts CSV with the exact header term,doc,count."""
+    """Read a counts CSV with the exact header term,doc,count.
+
+    Each distinct term or doc name is checked once and kept as one string
+    object, which every row that repeats it shares.
+    """
     path = Path(path)
     rows: list[tuple[str, str, int]] = []
+    names: dict[str, str] = {}
     with open_text(path, "") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -385,7 +417,11 @@ def read_counts_csv(path: str | Path) -> list[tuple[str, str, int]]:
                 raise InputFormatError(
                     f"count {count} is negative", path=str(path), line=lineno
                 )
-            rows.append((term, doc, count))
+            if term not in names:
+                names[term] = _checked_name(term, "term", path, lineno)
+            if doc not in names:
+                names[doc] = _checked_name(doc, "doc", path, lineno)
+            rows.append((names[term], names[doc], count))
     return rows
 
 
@@ -437,7 +473,7 @@ def read_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
                     path=str(path),
                     line=lineno,
                 )
-            documents.append((obj["id"], obj["text"]))
+            documents.append((_checked_name(obj["id"], "id", path, lineno), obj["text"]))
     return documents
 
 
@@ -445,12 +481,14 @@ def read_text_dir(path: str | Path) -> list[tuple[str, str]]:
     """Read every .txt file in a directory; doc id is the file stem.
 
     A missing path or one that is not a directory raises the matching OSError.
+    A file name holding a tab, CR, LF or bytes that are not UTF-8 raises
+    InputFormatError at the directory.
     """
     path = Path(path)
     documents: list[tuple[str, str]] = []
     for name in sorted(os.listdir(path)):
         if name.endswith(".txt"):
-            file = path / name
+            file = path / _checked_name(name, "file name", path, 0)
             with open_text(file, None) as handle:
                 documents.append((file.stem, handle.read()))
     return documents

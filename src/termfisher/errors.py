@@ -54,10 +54,11 @@ class InvalidSyntheticSpecError(TermfisherError, ValueError):
 
 
 class InputFormatError(TermfisherError):
-    """Malformed input file; carries the offending line number."""
+    """Malformed input file; carries the offending line number (0 when the
+    fault is in no one line, such as a file name in a text directory)."""
 
     def __init__(self, message: str, *, path: str = "", line: int = 0):
         self.path = path
         self.line = line
-        prefix = f"{path}:{line}: " if path and line else ""
+        prefix = f"{path}:{line}: " if path and line else f"{path}: " if path else ""
         super().__init__(prefix + message)

@@ -261,7 +261,8 @@ class QuotientSweepReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """At least one point, and every point inside the band."""
+        return bool(self.results) and not self.failures
 
     @property
     def q_min(self) -> float:
@@ -374,8 +375,14 @@ class ConvergenceReport:
         return all(a > b for a, b in zip(errors, errors[1:]))
 
     @property
+    def checked(self) -> int:
+        """Consecutive doublings whose error ratio was held against the band."""
+        return sum(p.ratio_ok is not None for p in self.points)
+
+    @property
     def passed(self) -> bool:
-        return self.decreasing and all(p.ratio_ok is not False for p in self.points)
+        """Errors decrease, and at least one ratio was checked and every one is in the band."""
+        return self.decreasing and self.checked > 0 and all(p.ratio_ok is not False for p in self.points)
 
 
 def cor2_convergence(
@@ -436,8 +443,14 @@ class DecayReport:
     band: tuple[float, float]
 
     @property
+    def checked(self) -> int:
+        """Consecutive doublings whose gap ratio was held against the band."""
+        return sum(p.ratio_ok is not None for p in self.points)
+
+    @property
     def passed(self) -> bool:
-        return all(p.ratio_ok is not False for p in self.points)
+        """At least one ratio was checked, and every one is in the band."""
+        return self.checked > 0 and all(p.ratio_ok is not False for p in self.points)
 
 
 def binomial_decay_check(

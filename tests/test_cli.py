@@ -2,6 +2,8 @@
 
 import csv
 import io
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -227,6 +229,82 @@ class TestRepeatedKeys:
         assert err == f"error: {bad}:4: duplicate document id 'x'\n"
 
 
+class TestNamesThatBreakTheTsv:
+    """A term or doc name holding a tab, CR, LF or lone surrogate exits 2 at its line."""
+
+    NAMES = {"tab": "a\tb", "lf": "a\nb", "cr": "a\rb"}
+    NAMES_AND_SURROGATES = NAMES | {"high-surrogate": "a\ud800", "low-surrogate": "\udfff"}
+
+    def assert_rejected(self, code, out, err, where):
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {where}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", NAMES.values(), ids=NAMES.keys())
+    @pytest.mark.parametrize("field", ["term", "doc"])
+    def test_counts_csv(self, field, name, tmp_path, capsys):
+        bad = tmp_path / "counts.csv"
+        row = f'"{name}",d2,2' if field == "term" else f'b,"{name}",2'
+        bad.write_bytes(f"term,doc,count\na,d1,1\n{row}\nc,d1,1\n".encode("utf-8"))
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "counts", capsys=capsys)
+        self.assert_rejected(code, out, err, f"{bad}:3")
+
+    @pytest.mark.parametrize("name", NAMES_AND_SURROGATES.values(), ids=NAMES_AND_SURROGATES.keys())
+    @pytest.mark.parametrize("command", ["weigh", "rank"])
+    def test_jsonl_id(self, command, name, tmp_path, capsys):
+        bad = tmp_path / "corpus.jsonl"
+        lines = [{"id": "ok", "text": "x y"}, {"id": name, "text": "y z"}]
+        bad.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        argv = [command, "--input", str(bad), "--format", "jsonl"]
+        if command == "rank":
+            argv += ["--top-k", "2"]
+        code, out, err = run_cli(*argv, capsys=capsys)
+        self.assert_rejected(code, out, err, f"{bad}:2")
+
+    def test_jsonl_id_with_a_surrogate_pair_is_one_valid_character(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a\\ud83d\\ude00", "text": "x"}\n', encoding="utf-8")
+        code, out, _ = run_cli("weigh", "--input", str(path), "--format", "jsonl", capsys=capsys)
+        assert code == 0
+        assert out.splitlines()[1].split("\t")[:2] == ["x", "a\U0001f600"]
+
+    def test_other_unprintable_characters_are_kept(self, tmp_path, capsys):
+        path = tmp_path / "corpus.jsonl"
+        ids = ["no\u00a0break", "zero\u200bwidth"]
+        path.write_text("".join(json.dumps({"id": i, "text": "x"}) + "\n" for i in ids), encoding="utf-8")
+        code, out, _ = run_cli("weigh", "--input", str(path), "--format", "jsonl", capsys=capsys)
+        assert code == 0
+        assert [line.split("\t")[1] for line in out.splitlines()[1:]] == ids
+
+    def test_textdir_name_that_is_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "one.txt").write_text("alpha", encoding="utf-8")
+        with open(os.path.join(os.fsencode(tmp_path), b"two\xff.txt"), "wb") as handle:
+            handle.write(b"beta")
+        code, out, err = run_cli("weigh", "--input", str(tmp_path), "--format", "textdir", capsys=capsys)
+        self.assert_rejected(code, out, err, tmp_path)
+        assert "'two\\udcff.txt'" in err
+
+    def test_textdir_name_with_a_tab(self, tmp_path, capsys):
+        (tmp_path / "one.txt").write_text("alpha", encoding="utf-8")
+        (tmp_path / "t\two.txt").write_text("beta", encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(tmp_path), "--format", "textdir", capsys=capsys)
+        self.assert_rejected(code, out, err, tmp_path)
+        assert "'t\\two.txt'" in err
+
+    def test_output_file_is_left_untouched(self, tmp_path, capsys):
+        bad = tmp_path / "corpus.jsonl"
+        bad.write_text('{"id": "a\\ud800", "text": "x"}\n', encoding="utf-8")
+        target = tmp_path / "out.tsv"
+        target.write_bytes(b"earlier\n")
+        code, _, err = run_cli(
+            "weigh", "--input", str(bad), "--format", "jsonl", "--output", str(target),
+            capsys=capsys,
+        )
+        assert code == 2
+        assert f"{bad}:1" in err
+        assert target.read_bytes() == b"earlier\n"
+
+
 class TestRank:
     def test_exclusive_terms_rank_first(self, capsys):
         code, out, _ = run_cli(
@@ -372,6 +450,31 @@ class TestSweep:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {"quotient", "convergence", "decay"} <= {r["check"] for r in rows}
+
+    @pytest.mark.parametrize(
+        "argv, failure",
+        [
+            (("--decay-N", ","), "pmf decay"),
+            (("--decay-N", "0"), "pmf decay"),
+            (("--decay-N", "200,800"), "pmf decay"),
+            (("--cor2-d", "400"), "convergence"),
+            (("--cor2-d", ","), "convergence"),
+            (("--cor2-d", "50,100"), "convergence"),
+        ],
+    )
+    def test_a_check_that_checked_no_ratio_fails(self, argv, failure, capsys):
+        code, out, err = run_cli("sweep", *argv, capsys=capsys)
+        assert code == 3
+        assert f"sweep failure: {failure} checked no doubling pair" in err
+        assert "sweep summary: 2/3 checks passed" in out
+
+    def test_grid_file_with_only_a_header_fails(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("n,n_i,n_j,n_ij\n", encoding="utf-8")
+        code, out, err = run_cli("sweep", "--grid-file", str(grid), capsys=capsys)
+        assert code == 3
+        assert "sweep failure: quotient sweep checked no point" in err
+        assert "sweep summary: 2/3 checks passed" in out
 
     @pytest.mark.parametrize("flag", ["--decay-k", "--decay-s"])
     def test_negative_decay_count_is_invalid_input(self, flag, capsys):

@@ -232,7 +232,7 @@ class TestMatrixInvariants:
         matrix = TermDocumentMatrix(
             ("a", "b", "c"),
             ("d1", "d2", "d3", "d4"),
-            {(0, 0): 2, (1, 1): 3, (0, 2): 0, (2, 3): 1, (0, 3): 1},
+            [{0: 2}, {1: 3}, {0: 0}, {2: 1, 0: 1}],
         )
         assert matrix.export_counts() == [
             ("a", "d1", 2),
@@ -245,22 +245,163 @@ class TestMatrixInvariants:
         ]
 
     def test_columns_from_unordered_counts_with_a_stored_zero(self):
-        # inserted out of term and document order, with a zero stored at (1, 0)
-        counts = {(2, 1): 4, (0, 1): 1, (2, 0): 3, (1, 0): 0, (0, 0): 2, (1, 1): 5}
-        matrix = TermDocumentMatrix(("a", "b", "c"), ("d1", "d2"), counts)
+        # inserted out of term order, with a zero stored at (1, 0)
+        columns = [{2: 3, 1: 0, 0: 2}, {2: 4, 0: 1, 1: 5}]
+        matrix = TermDocumentMatrix(("a", "b", "c"), ("d1", "d2"), columns)
         assert list(matrix.nonzero_cells()) == [(0, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
         assert [list(column.items()) for column in matrix.columns] == [
             [(0, 2), (2, 3)],
             [(0, 1), (1, 5), (2, 4)],
         ]
-        without_zero = {cell: c for cell, c in counts.items() if c > 0}
+        without_zero = [{i: c for i, c in column.items() if c > 0} for column in columns]
         assert matrix == TermDocumentMatrix(("a", "b", "c"), ("d1", "d2"), without_zero)
+
+    def test_columns_are_copied_from_the_callers_mappings(self):
+        columns = [{0: 1}]
+        matrix = TermDocumentMatrix(("a",), ("d1",), columns)
+        columns[0][0] = 7
+        assert matrix.count(0, 0) == 1
+
+    def test_one_column_per_document(self):
+        with pytest.raises(IndexOutOfRangeError):
+            TermDocumentMatrix(("a",), ("d1", "d2"), [{0: 1}])
+        with pytest.raises(IndexOutOfRangeError):
+            TermDocumentMatrix(("a",), ("d1",), [{0: 1}, {0: 1}])
 
     def test_columns_are_read_only(self):
         matrix = ingest_text([("d1", "a b a")])
         with pytest.raises(TypeError):
             matrix.columns[0][0] = 7
         assert matrix.count(0, 0) == 2
+
+
+def assert_matches_cell_by_cell(matrix, vocab, docs, cells):
+    """matrix holds exactly cells {(i, j): count}, zeros included, over vocab x docs."""
+    m, d = len(vocab), len(docs)
+    row, col, freq = [0] * m, [0] * d, [0] * m
+    for (i, j), c in cells.items():
+        if c:
+            row[i] += c
+            col[j] += c
+            freq[i] += 1
+    assert (matrix.vocab, matrix.docs) == (tuple(vocab), tuple(docs))
+    assert matrix.row_totals == tuple(row)
+    assert matrix.col_totals == tuple(col)
+    assert matrix.doc_freq == tuple(freq)
+    assert matrix.grand_total == sum(row)
+    assert [list(column.items()) for column in matrix.columns] == [
+        sorted((i, c) for (i, jj), c in cells.items() if jj == j and c) for j in range(d)
+    ]
+    for i in range(m):
+        for j in range(d):
+            assert matrix.count(i, j) == cells.get((i, j), 0)
+    rebuilt = ingest_counts(matrix.export_counts())
+    assert rebuilt == matrix
+    assert (rebuilt.vocab, rebuilt.docs) == (matrix.vocab, matrix.docs)
+
+
+@st.composite
+def column_inputs(draw):
+    """(m, d, columns, fault): valid columns over m terms and d documents, with at
+    most one cell made out of range ("index") or negative ("negative")."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    d = draw(st.integers(min_value=1, max_value=4))
+    column = st.dictionaries(
+        st.integers(min_value=0, max_value=m - 1), st.integers(min_value=0, max_value=4), max_size=m
+    )
+    columns = draw(st.lists(column, min_size=d, max_size=d))
+    fault = draw(st.sampled_from([None, "index", "negative"]))
+    if fault:
+        target = columns[draw(st.integers(min_value=0, max_value=d - 1))]
+        if fault == "index":
+            i = draw(st.integers(min_value=-2, max_value=-1) | st.integers(min_value=m, max_value=m + 2))
+            target[i] = draw(st.integers(min_value=1, max_value=4))
+        else:
+            target[draw(st.integers(min_value=0, max_value=m - 1))] = -draw(
+                st.integers(min_value=1, max_value=3)
+            )
+    return m, d, columns, fault
+
+
+class TestColumnConstructor:
+    """TermDocumentMatrix(vocab, docs, columns) and ingest_counts against a cell-by-cell model."""
+
+    @given(column_inputs())
+    @settings(max_examples=200)
+    def test_columns_match_cell_by_cell(self, case):
+        m, d, columns, fault = case
+        vocab = [f"t{i}" for i in range(m)]
+        docs = [f"d{j}" for j in range(d)]
+        if fault == "index":
+            with pytest.raises(IndexOutOfRangeError):
+                TermDocumentMatrix(vocab, docs, columns)
+            return
+        if fault == "negative":
+            with pytest.raises(NegativeCountError):
+                TermDocumentMatrix(vocab, docs, columns)
+            return
+        cells = {(i, j): c for j, column in enumerate(columns) for i, c in column.items()}
+        if any(not any(cells.get((i, j), 0) for j in range(d)) for i in range(m)):
+            with pytest.raises(EmptyCollectionError):
+                TermDocumentMatrix(vocab, docs, columns)
+            return
+        matrix = TermDocumentMatrix(vocab, docs, columns)
+        assert_matches_cell_by_cell(matrix, vocab, docs, cells)
+        # every cell, zeros included, document-major: registers vocab and docs in order
+        rows = [(vocab[i], docs[j], columns[j].get(i, 0)) for j in range(d) for i in range(m)]
+        assert ingest_counts(rows) == matrix
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "d"]),
+                st.sampled_from(["x", "y", "z"]),
+                st.integers(min_value=-1, max_value=4),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    @settings(max_examples=200)
+    def test_ingest_counts_matches_cell_by_cell(self, rows):
+        seen: dict[tuple[str, str], int] = {}
+        error = None
+        for term, doc, count in rows:
+            if count < 0:
+                error = NegativeCountError
+            elif (term, doc) in seen:
+                error = DuplicateCellError
+            if error:
+                break
+            seen[term, doc] = count
+        totals: dict[str, int] = {}
+        for (term, _), count in seen.items():
+            totals[term] = totals.get(term, 0) + count
+        vocab = [term for term, total in totals.items() if total > 0]  # first seen, zero totals dropped
+        if error is None and not vocab:
+            error = EmptyCollectionError
+        if error:
+            with pytest.raises(error):
+                ingest_counts(rows)
+            return
+        docs = list(dict.fromkeys(doc for _, doc in seen))
+        cells = {
+            (vocab.index(term), docs.index(doc)): count
+            for (term, doc), count in seen.items()
+            if term in vocab
+        }
+        matrix = ingest_counts(rows)
+        assert_matches_cell_by_cell(matrix, vocab, docs, cells)
+        columns = [{} for _ in docs]
+        for (i, j), c in cells.items():
+            columns[j][i] = c
+        assert matrix == TermDocumentMatrix(vocab, docs, columns)
+
+    def test_zero_total_terms_are_dropped_and_renumbered(self):
+        rows = [("z0", "d1", 0), ("a", "d1", 2), ("z1", "d2", 0), ("b", "d2", 1), ("a", "d2", 1)]
+        matrix = ingest_counts(rows)
+        assert matrix.vocab == ("a", "b")
+        assert [dict(column) for column in matrix.columns] == [{0: 2}, {0: 1, 1: 1}]
 
 
 class TestFileFormats:
@@ -272,6 +413,19 @@ class TestFileFormats:
         assert raw.startswith(b"term,doc,count\n")
         assert b"\r" not in raw
         assert read_counts_csv(path) == rows
+
+    def test_counts_csv_keeps_one_string_per_name(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text(
+            "term,doc,count\nalpha,d1,1\nbeta,d1,2\nalpha,d2,3\nd2,alpha,4\n", encoding="utf-8"
+        )
+        rows = read_counts_csv(path)
+        assert rows == [("alpha", "d1", 1), ("beta", "d1", 2), ("alpha", "d2", 3), ("d2", "alpha", 4)]
+        assert rows[2][0] is rows[0][0]
+        assert rows[1][1] is rows[0][1]
+        # one table serves both columns
+        assert rows[3][0] is rows[2][1]
+        assert rows[3][1] is rows[0][0]
 
     def test_counts_csv_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -201,6 +201,11 @@ class TestQuotientSweep:
         (failure,) = report.failures
         assert failure.q is not None and failure.q > 1.0
 
+    def test_empty_grid_does_not_pass(self):
+        report = lemma1_sweep([])
+        assert report.results == () and report.failures == ()
+        assert not report.passed
+
     def test_invalid_point_reported_not_raised(self):
         report = lemma1_sweep([QuotientPoint(n=100, n_i=500, n_j=10, n_ij=5)])
         assert not report.passed
@@ -280,7 +285,14 @@ class TestConvergence:
     def test_term_in_every_document_gives_zero_error(self):
         report = cor2_convergence(15, 1.0, (40,))
         assert report.points[0].error == 0.0
-        assert report.passed
+        assert not report.passed  # one d checks no doubling pair
+
+    @pytest.mark.parametrize("doublings", [(), (400,), (50, 100), (100, 400)])
+    def test_no_checked_ratio_does_not_pass(self, doublings):
+        report = cor2_convergence(20, 0.2, doublings)
+        assert all(p.ratio is None for p in report.points)
+        assert report.decreasing
+        assert not report.passed
 
     def test_single_document_collection(self):
         report = cor2_convergence(20, 1.0, (1,))
@@ -313,6 +325,12 @@ class TestBinomialDecay:
     def test_k_beyond_sample_gives_zero_gaps(self):
         report = binomial_decay_check(0.1, 25, 20, (200, 400))
         assert all(p.gap == 0.0 for p in report.points)
+
+    @pytest.mark.parametrize("Ns", [(), (0,), (200,), (200, 800)])
+    def test_no_checked_ratio_does_not_pass(self, Ns):
+        report = binomial_decay_check(0.1, 5, 20, Ns)
+        assert all(p.ratio is None for p in report.points)
+        assert not report.passed
 
     def test_non_integral_K_rejected(self):
         with pytest.raises(InvalidSyntheticSpecError):
