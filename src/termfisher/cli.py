@@ -8,7 +8,6 @@ for identical inputs and flags; diagnostics go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import heapq
 import sys
 from itertools import groupby
@@ -19,6 +18,8 @@ from typing import Iterable, Iterator
 from . import __version__
 from .corpus import (
     TermDocumentMatrix,
+    ascii_int,
+    csv_records,
     ingest_counts,
     ingest_text,
     open_text,
@@ -29,17 +30,6 @@ from .corpus import (
     repeated_key_line,
 )
 from .errors import DuplicateCellError, DuplicateDocIdError, InputFormatError, TermfisherError
-from .verify import (
-    QuotientPoint,
-    binomial_decay_check,
-    check_reference_tables,
-    cor2_convergence,
-    lemma1_sweep,
-    render_sweep_csv,
-    render_sweep_text,
-    render_tables_csv,
-    render_tables_text,
-)
 from .weights import SCHEMES, WeightRecord, weigh_matrix
 
 TSV_COLUMNS = WeightRecord._fields[:-1]  # every field but notes
@@ -52,6 +42,31 @@ RANK_SCHEMES = {
     "thm1_approx": ("approximations", "thm1_approx"),
     "cor1_approx": ("approximations", "cor1_approx"),
 }
+
+
+# What cli takes from verify, which only table and sweep use: it is imported and
+# its names are bound here on first use, so weigh and rank never load it.
+_VERIFY_NAMES = (
+    "QuotientPoint", "binomial_decay_check", "check_reference_tables", "cor2_convergence",
+    "lemma1_sweep", "render_sweep_csv", "render_sweep_text", "render_tables_csv",
+    "render_tables_text",
+)
+
+
+def _load_verify() -> None:
+    """Bind verify's names into this module, keeping any name already bound
+    (a wrapper set with setattr); the commands call whatever is bound."""
+    from . import verify
+
+    for name in _VERIFY_NAMES:
+        globals().setdefault(name, getattr(verify, name))
+
+
+def __getattr__(name: str):  # PEP 562: verify's names resolve as attributes of cli
+    if name not in _VERIFY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_verify()
+    return globals()[name]
 
 
 class _ValidationFailure(Exception):
@@ -139,6 +154,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    _load_verify()
     rows, mismatches = check_reference_tables()
     validation, typical = rows[:6], rows[6:]
     if args.table_format == "csv":
@@ -155,17 +171,17 @@ def cmd_table(args: argparse.Namespace) -> int:
 def _read_grid_file(path: str) -> list[QuotientPoint]:
     points = []
     with open_text(path, "") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        records = csv_records(handle)
+        _, header = next(records, (1, None))
         if header != ["n", "n_i", "n_j", "n_ij"]:
             raise InputFormatError(
                 f"expected header 'n,n_i,n_j,n_ij', got {header!r}", path=path, line=1
             )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row:
                 continue
             try:
-                n, n_i, n_j, n_ij = (int(cell) for cell in row)
+                n, n_i, n_j, n_ij = (ascii_int(cell) for cell in row)
             except ValueError:
                 raise InputFormatError(
                     "grid rows must be four integers", path=path, line=lineno
@@ -182,6 +198,7 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _load_verify()
     grid = _read_grid_file(args.grid_file) if args.grid_file else None
     quotient = lemma1_sweep(grid)
     convergence = cor2_convergence(

@@ -15,10 +15,9 @@ import os
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import (
     DuplicateCellError,
@@ -32,8 +31,6 @@ from .errors import (
 # Tokens are maximal runs of alphanumeric characters (Unicode-aware, underscore
 # excluded); everything else separates.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-_UNDECODED = re.compile("[\udc80-\udcff]")
 
 COUNTS_CSV_HEADER = ("term", "doc", "count")
 
@@ -52,14 +49,7 @@ def tokenize(text: str, *, lowercase: bool = True, stopwords: frozenset[str] = f
     return tokens
 
 
-@dataclass(frozen=True)
-class CellStats:
-    """Full statistics bundle for one (term, document) cell.
-
-    Integer fields are exact; the proportion properties are derived in double
-    precision at access time.
-    """
-
+class _CellCounts(NamedTuple):
     n_ij: int  # occurrences of the term in the document
     n_i: int   # occurrences of the term in the collection
     n_j: int   # terms in the document
@@ -67,17 +57,30 @@ class CellStats:
     b_i: int   # documents containing the term
     d: int     # documents in the collection
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 1:
+
+class CellStats(_CellCounts):
+    """Full statistics bundle for one (term, document) cell: an immutable tuple
+    of exact integers, checked however it is built (the constructor, _make or
+    _replace). The proportion properties are derived at access time."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_ij: int, n_i: int, n_j: int, n: int, b_i: int, d: int) -> "CellStats":
+        if n < 1 or d < 1:
             raise ValueError("collection must contain at least one term and one document")
-        if min(self.n_ij, self.n_i, self.n_j, self.b_i) < 0:
+        if min(n_ij, n_i, n_j, b_i) < 0:
             raise ValueError("counts must be nonnegative")
-        if self.n_ij > min(self.n_i, self.n_j):
+        if n_ij > min(n_i, n_j):
             raise ValueError("n_ij cannot exceed min(n_i, n_j)")
-        if self.n_i > self.n or self.n_j > self.n:
+        if n_i > n or n_j > n:
             raise ValueError("marginal totals cannot exceed the grand total")
-        if not 1 <= self.b_i <= self.d:
+        if not 1 <= b_i <= d:
             raise ValueError("b_i must lie in [1, d]")
+        return tuple.__new__(cls, (n_ij, n_i, n_j, n, b_i, d))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "CellStats":
+        return cls(*iterable)  # through __new__, and so is _replace
 
     @property
     def p_ij(self) -> float:
@@ -358,7 +361,7 @@ def open_text(path: str | Path, newline: str | None) -> Iterator[TextIO]:
     except UnicodeDecodeError as exc:
         # surrogateescape turns each undecodable byte into a lone surrogate
         text = path.read_bytes().decode("utf-8", "surrogateescape")
-        line = text.count("\n", 0, _UNDECODED.search(text).start()) + 1
+        line = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
         raise InputFormatError(f"invalid UTF-8: {exc.reason}", path=str(path), line=line) from None
 
 
@@ -381,25 +384,46 @@ def _checked_name(name: str, what: str, path: Path, line: int) -> str:
     return name
 
 
+def csv_records(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV record (blank ones as []) with the physical line it starts on;
+    a quoted field may hold a newline, so records and lines can differ."""
+    reader = csv.reader(handle)
+    line = 1
+    for row in reader:
+        yield line, row
+        line = reader.line_num + 1
+
+
+def ascii_int(raw: str) -> int:
+    """int(raw) for ASCII digits after an optional '-'; ValueError for anything
+    else, such as what int() alone would also take (' 2', '1_0', '+2', the
+    digits of other scripts) or more digits than int() converts."""
+    if raw.isascii() and raw.removeprefix("-").isdigit():
+        return int(raw)
+    raise ValueError(f"not an integer in ASCII digits: {raw!r}")
+
+
 def read_counts_csv(path: str | Path) -> list[tuple[str, str, int]]:
     """Read a counts CSV with the exact header term,doc,count.
 
     Each distinct term or doc name is checked once and kept as one string
-    object, which every row that repeats it shares.
+    object, which every row that repeats it shares; each distinct count
+    string is parsed once.
     """
     path = Path(path)
     rows: list[tuple[str, str, int]] = []
     names: dict[str, str] = {}
+    counts: dict[str, int] = {}
     with open_text(path, "") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        records = csv_records(handle)
+        _, header = next(records, (1, None))
         if header is None or tuple(header) != COUNTS_CSV_HEADER:
             raise InputFormatError(
                 f"expected header {','.join(COUNTS_CSV_HEADER)!r}, got {header!r}",
                 path=str(path),
                 line=1,
             )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row:
                 continue
             if len(row) != 3:
@@ -407,12 +431,14 @@ def read_counts_csv(path: str | Path) -> list[tuple[str, str, int]]:
                     f"expected 3 fields, got {len(row)}", path=str(path), line=lineno
                 )
             term, doc, raw = row
-            try:
-                count = int(raw)
-            except ValueError:
-                raise InputFormatError(
-                    f"count {raw!r} is not an integer", path=str(path), line=lineno
-                ) from None
+            count = counts.get(raw)
+            if count is None:
+                try:
+                    count = counts[raw] = ascii_int(raw)
+                except ValueError:
+                    raise InputFormatError(
+                        f"count {raw!r} is not an integer", path=str(path), line=lineno
+                    ) from None
             if count < 0:
                 raise InputFormatError(
                     f"count {count} is negative", path=str(path), line=lineno
@@ -432,7 +458,7 @@ def repeated_key_line(path: str | Path, fmt: str) -> int:
     seen = set()
     with open_text(path, "" if fmt == "counts" else None) as handle:
         if fmt == "counts":  # the header is line 1
-            rows = enumerate(csv.reader(handle), start=1)
+            rows = csv_records(handle)
             keys = ((lineno, tuple(row[:2])) for lineno, row in rows if row and lineno > 1)
         else:
             lines = enumerate(handle, start=1)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from math import exp, log
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -45,8 +44,7 @@ class CellParams(NamedTuple):
     d: int
 
 
-@dataclass(frozen=True)
-class TableSetting:
+class TableSetting(NamedTuple):
     """A reference parameter setting with frozen expected values."""
 
     block: str    # "small" / "large" / "typical"
@@ -118,8 +116,7 @@ TYPICAL_SETTINGS: tuple[TableSetting, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """Computed formula values and percentage gaps for one setting."""
 
     block: str
@@ -161,8 +158,7 @@ def reproduce_typical_table() -> list[TableRow]:
     return [evaluate_setting(s) for s in TYPICAL_SETTINGS]
 
 
-@dataclass(frozen=True)
-class TableMismatch:
+class TableMismatch(NamedTuple):
     block: str
     label: str
     field: str
@@ -242,8 +238,7 @@ def default_quotient_grid() -> list[QuotientPoint]:
     ]
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(NamedTuple):
     point: QuotientPoint
     q: float | None
     d_ij: float | None  # -ln(q)/n_j when q > 0
@@ -251,8 +246,7 @@ class QuotientResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class QuotientSweepReport:
+class QuotientSweepReport(NamedTuple):
     results: tuple[QuotientResult, ...]
 
     @property
@@ -303,11 +297,7 @@ def lemma1_sweep(grid: Iterable[QuotientPoint] | None = None) -> QuotientSweepRe
 # -- synthetic collections ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Idealized collection: d documents of length R, the focal term occurring
-    r times in each of b_i of them, a single filler term taking the rest."""
-
+class _SyntheticFields(NamedTuple):
     R: int
     r: int
     b_i: int
@@ -315,11 +305,25 @@ class SyntheticSpec:
     focal_term: str = "focal"
     filler_term: str = "filler"
 
-    def __post_init__(self) -> None:
+
+class SyntheticSpec(_SyntheticFields):
+    """Idealized collection: d documents of length R, the focal term occurring
+    r times in each of b_i of them, a single filler term taking the rest; checked
+    however it is built (the constructor, _make or _replace)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SyntheticSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.r <= self.R:
             raise InvalidSyntheticSpecError(f"need 0 < r <= R, got r={self.r}, R={self.R}")
         if not 1 <= self.b_i <= self.d:
             raise InvalidSyntheticSpecError(f"need 1 <= b_i <= d, got b_i={self.b_i}, d={self.d}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "SyntheticSpec":
+        return cls(*iterable)  # through __new__, and so is _replace
 
     def doc_id(self, j: int) -> str:
         return f"doc{j:05d}"
@@ -352,8 +356,7 @@ class SyntheticSpec:
 # -- convergence checks -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvergencePoint:
+class ConvergencePoint(NamedTuple):
     d: int
     b_i: int
     error: float
@@ -361,8 +364,7 @@ class ConvergencePoint:
     ratio_ok: bool | None
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     R: int
     beta: float
     points: tuple[ConvergencePoint, ...]
@@ -425,8 +427,7 @@ def cor2_convergence(
     )
 
 
-@dataclass(frozen=True)
-class DecayPoint:
+class DecayPoint(NamedTuple):
     N: int
     K: int
     gap: float
@@ -434,8 +435,7 @@ class DecayPoint:
     ratio_ok: bool | None
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     p: float
     k: int
     s: int

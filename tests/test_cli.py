@@ -14,6 +14,7 @@ from termfisher.cli import main
 from termfisher.verify import VALIDATION_SETTINGS
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 CORPUS = str(DATA / "corpus.jsonl")
 GOLDEN = (DATA / "golden_weigh.tsv").read_text(encoding="utf-8")
 CASE1_CSV = str(DATA / "table4_case1.csv")
@@ -227,6 +228,66 @@ class TestRepeatedKeys:
         )
         assert (code, out) == (2, "")
         assert err == f"error: {bad}:4: duplicate document id 'x'\n"
+
+
+class TestCountsAreAsciiDigits:
+    """A count or grid value is read only when it is ASCII digits (after an
+    optional '-'); anything else exits 2 at the physical line its record
+    starts on."""
+
+    NOT_DIGITS = {
+        "underscore": "1_0", "leading-space": " 2", "trailing-space": "2 ", "plus": "+2",
+        "newline": "1\n", "arabic-indic": "\u0663", "fullwidth": "\uff12", "superscript": "\u00b2",
+        "two-signs": "--2",
+        # digits, but past the 4,300 that int() converts by default
+        "too-long": "1" * 5000,
+    }
+
+    def weigh_counts(self, path, capsys):
+        return run_cli(
+            "weigh", "--input", str(path), "--format", "counts", "--schemes", "tfidf", capsys=capsys
+        )
+
+    @pytest.mark.parametrize("raw", NOT_DIGITS.values(), ids=NOT_DIGITS.keys())
+    def test_counts_csv(self, raw, tmp_path, capsys):
+        bad = tmp_path / "counts.csv"
+        bad.write_text(f'term,doc,count\na,d1,1\nb,d1,"{raw}"\nc,d1,x\n', encoding="utf-8")
+        code, out, err = self.weigh_counts(bad, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:3: count {raw!r} is not an integer\n"
+
+    def test_negative_count_keeps_its_message(self, tmp_path, capsys):
+        bad = tmp_path / "counts.csv"
+        bad.write_text("term,doc,count\na,d1,1\nb,d1,-03\n", encoding="utf-8")
+        code, out, err = self.weigh_counts(bad, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:3: count -3 is negative\n"
+
+    def test_leading_zeros_are_digits(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("term,doc,count\na,d1,007\nb,d1,0\n", encoding="utf-8")
+        code, out, _ = self.weigh_counts(path, capsys)
+        assert code == 0
+        assert [line.split("\t")[2] for line in out.splitlines()[1:]] == ["7"]
+
+    def test_a_record_holding_a_newline_is_reported_where_it_starts(self, tmp_path, capsys):
+        # the record on lines 2-3 holds a newline in its count, so it is the
+        # first bad record, reported at its first line; the row on line 4 is not
+        bad = tmp_path / "counts.csv"
+        bad.write_text('term,doc,count\na,d1,"1\n"\nb,d1,x\n', encoding="utf-8")
+        code, out, err = self.weigh_counts(bad, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:2: count '1\\n' is not an integer\n"
+
+    @pytest.mark.parametrize("raw", NOT_DIGITS.values(), ids=NOT_DIGITS.keys())
+    def test_grid_file(self, raw, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(
+            f'n,n_i,n_j,n_ij\n1000000,500,200,20\n1000000,"{raw}",200,20\n', encoding="utf-8"
+        )
+        code, out, err = run_cli("sweep", "--grid-file", str(grid), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {grid}:3: grid rows must be four integers\n"
 
 
 class TestNamesThatBreakTheTsv:
@@ -519,6 +580,62 @@ class TestOutputFile:
         assert code == 2
         assert f"{bad}:3" in err
         assert target.read_bytes() == b"earlier\toutput\n"
+
+
+class TestStartUp:
+    """weigh and rank start without loading what only table and sweep run."""
+
+    # every name cli takes from verify; the benchmark's tracer wraps the last four
+    VERIFY_NAMES = (
+        "QuotientPoint", "render_sweep_csv", "render_sweep_text", "render_tables_csv",
+        "render_tables_text", "check_reference_tables", "lemma1_sweep", "cor2_convergence",
+        "binomial_decay_check",
+    )
+
+    def test_import_leaves_out_dataclasses_inspect_and_verify(self):
+        code = (
+            "import sys, termfisher.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'termfisher.verify'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+    def test_verify_names_are_attributes_of_cli(self):
+        import termfisher.cli
+        import termfisher.verify
+
+        for name in self.VERIFY_NAMES:
+            assert getattr(termfisher.cli, name) is getattr(termfisher.verify, name)
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [
+            ("check_reference_tables", "table"), ("lemma1_sweep", "sweep"),
+            ("cor2_convergence", "sweep"), ("binomial_decay_check", "sweep"),
+        ],
+    )
+    def test_a_name_bound_on_cli_before_main_is_what_runs(self, name, command, monkeypatch, capsys):
+        import termfisher.cli
+        import termfisher.verify
+
+        original = getattr(termfisher.verify, name)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # as in a fresh process: nothing of verify bound yet, then the wrapper
+        for other in self.VERIFY_NAMES:
+            monkeypatch.delitem(vars(termfisher.cli), other, raising=False)
+        monkeypatch.setitem(vars(termfisher.cli), name, wrapper)
+        code, _, _ = run_cli(command, capsys=capsys)
+        assert code == 0
+        assert len(calls) == 1
+        assert getattr(termfisher.cli, name) is wrapper
 
 
 class TestModuleInvocation:

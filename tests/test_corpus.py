@@ -14,6 +14,7 @@ from termfisher.corpus import (
     read_counts_csv,
     read_stopwords,
     read_text_dir,
+    repeated_key_line,
     tokenize,
     write_counts_csv,
 )
@@ -136,6 +137,17 @@ class TestIngestCounts:
         assert text == counts
 
 
+def _rejected_when_cell_stats_was_a_dataclass(n_ij, n_i, n_j, n, b_i, d) -> bool:
+    """The checks CellStats.__post_init__ made while CellStats was a frozen dataclass."""
+    return (
+        n < 1 or d < 1
+        or min(n_ij, n_i, n_j, b_i) < 0
+        or n_ij > min(n_i, n_j)
+        or n_i > n or n_j > n
+        or not 1 <= b_i <= d
+    )
+
+
 class TestCellStats:
     def test_proportions(self):
         stats = CellStats(n_ij=25, n_i=150, n_j=100, n=1000, b_i=4, d=20)
@@ -156,6 +168,44 @@ class TestCellStats:
             CellStats(n_ij=5, n_i=20, n_j=50, n=90, b_i=6, d=5)  # b_i > d
         with pytest.raises(ValueError):
             CellStats(n_ij=5, n_i=20, n_j=50, n=90, b_i=0, d=5)  # b_i < 1
+
+    @given(st.tuples(*[st.integers(-1, 6)] * 6))
+    @settings(max_examples=400, deadline=None)
+    def test_every_construction_path_checks_the_invariants(self, values):
+        fields = dict(zip(CellStats._fields, values))
+        base = CellStats(n_ij=0, n_i=1, n_j=1, n=1, b_i=1, d=1)
+        builds = [
+            lambda: CellStats(*values),
+            lambda: CellStats(**fields),
+            lambda: CellStats._make(values),
+            lambda: CellStats._make(iter(values)),
+            lambda: base._replace(**fields),
+        ]
+        for build in builds:
+            if _rejected_when_cell_stats_was_a_dataclass(*values):
+                with pytest.raises(ValueError):
+                    build()
+            else:
+                stats = build()
+                assert type(stats) is CellStats
+                assert stats == values
+
+    def test_one_field_replaced_is_checked(self):
+        stats = CellStats(n_ij=5, n_i=20, n_j=50, n=90, b_i=2, d=5)
+        assert stats._replace(n_ij=6) == (6, 20, 50, 90, 2, 5)
+        with pytest.raises(ValueError):
+            stats._replace(b_i=6)
+        with pytest.raises(ValueError, match="unexpected field"):
+            stats._replace(p_ij=0.5)
+
+    def test_fields_cannot_be_assigned(self):
+        stats = CellStats(n_ij=5, n_i=20, n_j=50, n=90, b_i=2, d=5)
+        for name in CellStats._fields:
+            with pytest.raises(AttributeError):
+                setattr(stats, name, 1)
+        with pytest.raises(AttributeError):
+            stats.extra = 1
+        assert stats == (5, 20, 50, 90, 2, 5)
 
     def test_cell_stats_is_pure(self):
         matrix = ingest_text([("d1", "a b a"), ("d2", "b c")])
@@ -440,6 +490,12 @@ class TestFileFormats:
         with pytest.raises(InputFormatError) as excinfo:
             read_counts_csv(path)
         assert excinfo.value.line == 3
+
+    def test_repeated_key_line_is_a_physical_line(self, tmp_path):
+        # the record on lines 2-3 holds a newline; the repeat is on line 5
+        path = tmp_path / "dup.csv"
+        path.write_text('term,doc,count\na,d1,"1\n"\nb,d1,2\na,d1,3\n', encoding="utf-8")
+        assert repeated_key_line(path, "counts") == 5
 
     def test_jsonl_reader(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import comb, isclose, log
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import termfisher.weights
 from exact_refs import (
@@ -234,6 +236,38 @@ class TestSyntheticSpec:
             SyntheticSpec(R=10, r=11, b_i=2, d=5)
         with pytest.raises(InvalidSyntheticSpecError):
             SyntheticSpec(R=10, r=5, b_i=6, d=5)
+
+    @given(st.tuples(*[st.integers(-1, 6)] * 4), st.sampled_from(["focal", "f2"]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_construction_path_checks_the_invariants(self, values, focal_term):
+        R, r, b_i, d = values
+        # the checks __post_init__ made while SyntheticSpec was a frozen dataclass
+        rejected = not 0 < r <= R or not 1 <= b_i <= d
+        fields = dict(R=R, r=r, b_i=b_i, d=d, focal_term=focal_term)
+        full = (*values, focal_term, "filler")
+        base = SyntheticSpec(R=1, r=1, b_i=1, d=1)
+        builds = [
+            lambda: SyntheticSpec(*values, focal_term),
+            lambda: SyntheticSpec(**fields),
+            lambda: SyntheticSpec._make(full),
+            lambda: base._replace(**fields),
+        ]
+        for build in builds:
+            if rejected:
+                with pytest.raises(InvalidSyntheticSpecError):
+                    build()
+            else:
+                spec = build()
+                assert type(spec) is SyntheticSpec
+                assert spec == full
+
+    def test_fields_cannot_be_assigned(self):
+        spec = SyntheticSpec(R=10, r=5, b_i=2, d=5)
+        for name in SyntheticSpec._fields:
+            with pytest.raises(AttributeError):
+                setattr(spec, name, 1)
+        with pytest.raises(AttributeError):
+            spec.extra = 1
 
 
 class TestEmbedCellCounts:
