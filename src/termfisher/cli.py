@@ -83,13 +83,11 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
 
 
 def _load_matrix(args: argparse.Namespace) -> TermDocumentMatrix:
+    if args.stopwords and args.format == "counts":
+        raise _ValidationFailure("--stopwords applies to tokenized input only (jsonl or textdir)")
     stopwords = read_stopwords(args.stopwords) if args.stopwords else frozenset()
     try:
         if args.format == "counts":
-            if args.stopwords:
-                raise _ValidationFailure(
-                    "--stopwords applies to tokenized input only (jsonl or textdir)"
-                )
             return ingest_counts(read_counts_csv(args.input))
         if args.format == "jsonl":
             documents = read_corpus_jsonl(args.input)
@@ -156,16 +154,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     _load_verify()
     rows, mismatches = check_reference_tables()
-    validation, typical = rows[:6], rows[6:]
-    if args.table_format == "csv":
-        _emit([render_tables_csv(validation, typical)], args.output)
-    else:
-        _emit([render_tables_text(validation, typical)], args.output)
-    if mismatches:
-        for mismatch in mismatches:
-            print(f"mismatch: {mismatch}", file=sys.stderr)
-        return 3
-    return 0
+    render = render_tables_csv if args.table_format == "csv" else render_tables_text
+    _emit([render(rows)], args.output)
+    for mismatch in mismatches:
+        print(f"mismatch: {mismatch}", file=sys.stderr)
+    return 3 if mismatches else 0
 
 
 def _read_grid_file(path: str) -> list[QuotientPoint]:
@@ -207,29 +200,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     decay = binomial_decay_check(
         args.decay_p, args.decay_k, args.decay_s, _parse_int_list(args.decay_N, "--decay-N")
     )
-    if args.sweep_format == "csv":
-        _emit([render_sweep_csv(quotient, convergence, decay)], args.output)
-    else:
-        _emit([render_sweep_text(quotient, convergence, decay)], args.output)
-    failures = []
-    if not quotient.results:
-        failures.append("quotient sweep checked no point")
-    for result in quotient.failures:
-        p = result.point
-        failures.append(
-            f"quotient at n={p.n} n_i={p.n_i} n_j={p.n_j} n_ij={p.n_ij}: q={result.q} {result.note}"
-        )
-    if not convergence.checked:
-        failures.append("convergence checked no doubling pair")
-    elif not convergence.passed:
-        failures.append("convergence errors not halving as required")
-    if not decay.checked:
-        failures.append("pmf decay checked no doubling pair")
-    elif not decay.passed:
-        failures.append("pmf gap not halving as required")
-    for failure in failures:
-        print(f"sweep failure: {failure}", file=sys.stderr)
-    return 3 if failures else 0
+    render = render_sweep_csv if args.sweep_format == "csv" else render_sweep_text
+    _emit([render(quotient, convergence, decay)], args.output)
+    reasons = quotient.reasons + convergence.reasons + decay.reasons
+    for reason in reasons:
+        print(f"sweep failure: {reason}", file=sys.stderr)
+    return 3 if reasons else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,15 +35,13 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 COUNTS_CSV_HEADER = ("term", "doc", "count")
 
 
-def tokenize(text: str, *, lowercase: bool = True, stopwords: frozenset[str] = frozenset()) -> list[str]:
+def tokenize(text: str, *, stopwords: frozenset[str] = frozenset()) -> list[str]:
     """Split text into bag-of-words tokens.
 
-    Deterministic: lowercase (optionally), split on any maximal run of
-    non-alphanumeric characters, drop empties, then drop stopwords.
+    Deterministic: lowercase, split on any maximal run of non-alphanumeric
+    characters, drop empties, then drop stopwords.
     """
-    if lowercase:
-        text = text.lower()
-    tokens = _TOKEN_RE.findall(text)
+    tokens = _TOKEN_RE.findall(text.lower())
     if stopwords:
         tokens = [t for t in tokens if t not in stopwords]
     return tokens
@@ -102,12 +100,13 @@ class TermDocumentMatrix:
     """Immutable sparse count matrix with term/document registries.
 
     Registries keep first-seen order, which fixes all output orderings.
-    Terms whose total count is zero are dropped; documents are retained even
-    when empty (they still count toward d). Counts are stored by column: per
-    document, a read-only map from term index to positive count, in
-    ascending term order. The constructor takes the same shape, one mapping
-    per document from term index to count, and copies each column sorted,
-    without its zeros.
+    Every term must have a positive total, or the constructor raises
+    EmptyCollectionError (ingest_counts drops zero-total terms before it
+    builds the matrix); documents are retained even when empty (they still
+    count toward d). Counts are stored by column: per document, a read-only
+    map from term index to positive count, in ascending term order. The
+    constructor takes the same shape, one mapping per document from term
+    index to count, and copies each column sorted, without its zeros.
     """
 
     def __init__(self, vocab: Sequence[str], docs: Sequence[str], columns: Sequence[Mapping[int, int]]):
@@ -203,13 +202,12 @@ class TermDocumentMatrix:
         """Per document, its positive counts keyed by term index, ascending."""
         return self._columns
 
-    def count(self, i: int, j: int) -> int:
-        self._check_indices(i, j)
-        return self._columns[j].get(i, 0)
-
     def cell_stats(self, i: int, j: int) -> CellStats:
         """All integer totals and derived proportions for cell (i, j)."""
-        self._check_indices(i, j)
+        if not 0 <= i < self.m:
+            raise IndexOutOfRangeError(f"term index {i} outside [0, {self.m})")
+        if not 0 <= j < self.d:
+            raise IndexOutOfRangeError(f"document index {j} outside [0, {self.d})")
         return CellStats(
             n_ij=self._columns[j].get(i, 0),
             n_i=self._row_totals[i],
@@ -224,32 +222,6 @@ class TermDocumentMatrix:
         for j, column in enumerate(self._columns):
             for i in column:
                 yield i, j
-
-    def _check_indices(self, i: int, j: int) -> None:
-        if not 0 <= i < self.m:
-            raise IndexOutOfRangeError(f"term index {i} outside [0, {self.m})")
-        if not 0 <= j < self.d:
-            raise IndexOutOfRangeError(f"document index {j} outside [0, {self.d})")
-
-    # -- round-trip ---------------------------------------------------------
-
-    def export_counts(self) -> list[tuple[str, str, int]]:
-        """Rows that rebuild this matrix exactly via ingest_counts.
-
-        The first pass lists every term against document 0 (zero counts
-        included) so that re-ingestion re-seeds the vocabulary order; later
-        documents contribute their nonzero cells, or a single zero row when
-        they have none.
-        """
-        vocab, docs = self._vocab, self._docs
-        first = self._columns[0]
-        rows = [(term, docs[0], first.get(i, 0)) for i, term in enumerate(vocab)]
-        for doc, column in zip(docs[1:], self._columns[1:]):
-            if column:
-                rows.extend((vocab[i], doc, c) for i, c in column.items())
-            else:
-                rows.append((vocab[0], doc, 0))
-        return rows
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TermDocumentMatrix):
@@ -267,7 +239,6 @@ class TermDocumentMatrix:
 def ingest_text(
     documents: Iterable[tuple[str, str]],
     *,
-    lowercase: bool = True,
     stopwords: frozenset[str] = frozenset(),
 ) -> TermDocumentMatrix:
     """Build a matrix from (doc id, raw text) pairs.
@@ -287,7 +258,7 @@ def ingest_text(
         doc_index[doc_id] = len(docs)
         docs.append(doc_id)
         column: dict[int, int] = {}
-        for token, count in Counter(tokenize(text, lowercase=lowercase, stopwords=stopwords)).items():
+        for token, count in Counter(tokenize(text, stopwords=stopwords)).items():
             i = term_index.get(token)
             if i is None:
                 i = term_index[token] = len(vocab)
@@ -468,14 +439,6 @@ def repeated_key_line(path: str | Path, fmt: str) -> int:
                 return lineno
             seen.add(key)
     return 0
-
-
-def write_counts_csv(path: str | Path, rows: Iterable[tuple[str, str, int]]) -> None:
-    """Write counts rows as UTF-8 CSV with LF line endings."""
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COUNTS_CSV_HEADER)
-        writer.writerows(rows)
 
 
 def read_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:

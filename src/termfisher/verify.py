@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import groupby
 from math import exp, log
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -148,16 +149,6 @@ def evaluate_setting(setting: TableSetting) -> TableRow:
     )
 
 
-def reproduce_validation_table() -> list[TableRow]:
-    """Recompute the six bridge-validation settings (small and large blocks)."""
-    return [evaluate_setting(s) for s in VALIDATION_SETTINGS]
-
-
-def reproduce_typical_table() -> list[TableRow]:
-    """Recompute the two realistic-data settings."""
-    return [evaluate_setting(s) for s in TYPICAL_SETTINGS]
-
-
 class TableMismatch(NamedTuple):
     block: str
     label: str
@@ -173,10 +164,11 @@ class TableMismatch(NamedTuple):
 
 
 def check_reference_tables() -> tuple[list[TableRow], list[TableMismatch]]:
-    """Recompute both tables and compare every value against its reference."""
-    rows = reproduce_validation_table() + reproduce_typical_table()
-    mismatches = []
-    for setting, row in zip(VALIDATION_SETTINGS + TYPICAL_SETTINGS, rows):
+    """Recompute every setting, validation then typical, and compare every value
+    against its reference."""
+    rows, mismatches = [], []
+    for setting in VALIDATION_SETTINGS + TYPICAL_SETTINGS:
+        rows.append(row := evaluate_setting(setting))
         for name in FORMULAS:
             if abs(row.values[name] - setting.expected[name]) > TABLE_TOLERANCE:
                 mismatches.append(
@@ -199,6 +191,9 @@ class QuotientPoint(NamedTuple):
     n_i: int
     n_j: int
     n_ij: int
+
+    def __str__(self) -> str:
+        return f"n={self.n} n_i={self.n_i} n_j={self.n_j} n_ij={self.n_ij}"
 
 
 #: Concrete thresholds adopted for the quotient regime: the collection
@@ -254,9 +249,15 @@ class QuotientSweepReport(NamedTuple):
         return tuple(r for r in self.results if not r.ok)
 
     @property
+    def reasons(self) -> tuple[str, ...]:
+        """Why the sweep failed: no point, or each point outside the band."""
+        if not self.results:
+            return ("quotient sweep checked no point",)
+        return tuple(f"quotient at {r.point}: q={r.q} {r.note}" for r in self.failures)
+
+    @property
     def passed(self) -> bool:
-        """At least one point, and every point inside the band."""
-        return bool(self.results) and not self.failures
+        return not self.reasons
 
     @property
     def q_min(self) -> float:
@@ -302,13 +303,11 @@ class _SyntheticFields(NamedTuple):
     r: int
     b_i: int
     d: int
-    focal_term: str = "focal"
-    filler_term: str = "filler"
 
 
 class SyntheticSpec(_SyntheticFields):
-    """Idealized collection: d documents of length R, the focal term occurring
-    r times in each of b_i of them, a single filler term taking the rest; checked
+    """Idealized collection: d documents of length R, the term "focal" occurring
+    r times in each of b_i of them, the term "filler" taking the rest; checked
     however it is built (the constructor, _make or _replace)."""
 
     __slots__ = ()
@@ -337,11 +336,11 @@ class SyntheticSpec(_SyntheticFields):
         for j in range(self.d):
             doc = self.doc_id(j)
             if j < self.b_i:
-                rows.append((self.focal_term, doc, self.r))
+                rows.append(("focal", doc, self.r))
                 if self.R > self.r:
-                    rows.append((self.filler_term, doc, self.R - self.r))
+                    rows.append(("filler", doc, self.R - self.r))
             else:
-                rows.append((self.filler_term, doc, self.R))
+                rows.append(("filler", doc, self.R))
         return rows
 
     def build_matrix(self) -> TermDocumentMatrix:
@@ -349,11 +348,15 @@ class SyntheticSpec(_SyntheticFields):
 
     def focal_stats(self, matrix: TermDocumentMatrix) -> CellStats:
         return matrix.cell_stats(
-            matrix.term_index(self.focal_term), matrix.doc_index(self.focal_doc)
+            matrix.term_index("focal"), matrix.doc_index(self.focal_doc)
         )
 
 
 # -- convergence checks -------------------------------------------------------
+
+COR2_BAND = (1.8, 2.2)   # bounds on e_d / e_2d
+COR2_MIN_D = 100         # the smallest d whose doubling is held against the band
+DECAY_BAND = (1.6, 2.4)  # bounds on gap_N / gap_2N
 
 
 class ConvergencePoint(NamedTuple):
@@ -368,8 +371,6 @@ class ConvergenceReport(NamedTuple):
     R: int
     beta: float
     points: tuple[ConvergencePoint, ...]
-    band: tuple[float, float]
-    min_d_for_ratio: int
 
     @property
     def decreasing(self) -> bool:
@@ -377,31 +378,28 @@ class ConvergenceReport(NamedTuple):
         return all(a > b for a, b in zip(errors, errors[1:]))
 
     @property
-    def checked(self) -> int:
-        """Consecutive doublings whose error ratio was held against the band."""
-        return sum(p.ratio_ok is not None for p in self.points)
+    def reasons(self) -> tuple[str, ...]:
+        """Why the check failed: no ratio checked, or the errors rise or a
+        ratio falls outside the band."""
+        if all(p.ratio_ok is None for p in self.points):
+            return ("convergence checked no doubling pair",)
+        if not self.decreasing or any(p.ratio_ok is False for p in self.points):
+            return ("convergence errors not halving as required",)
+        return ()
 
     @property
     def passed(self) -> bool:
-        """Errors decrease, and at least one ratio was checked and every one is in the band."""
-        return self.decreasing and self.checked > 0 and all(p.ratio_ok is not False for p in self.points)
+        return not self.reasons
 
 
-def cor2_convergence(
-    R: int,
-    beta: float,
-    doublings: Sequence[int],
-    *,
-    band: tuple[float, float] = (1.8, 2.2),
-    min_d_for_ratio: int = 100,
-) -> ConvergenceReport:
+def cor2_convergence(R: int, beta: float, doublings: Sequence[int]) -> ConvergenceReport:
     """Gap between the enrichment weight and TF-IDF on exclusive collections.
 
     For each document count d (with b_i = beta * d documents containing the
     focal term exclusively), builds the collection, evaluates
     e_d = |(-log p) - tfidf| at the focal cell, and checks that errors fall
-    roughly in half per doubling of d: the ratio e_d / e_2d must lie in the
-    band for consecutive doublings with d >= min_d_for_ratio.
+    roughly in half per doubling of d: the ratio e_d / e_2d must lie in
+    COR2_BAND for consecutive doublings with d >= COR2_MIN_D.
 
     The containing fraction b_i/d stays fixed as d grows; with b_i fixed
     instead, the error floor would be set by b_i rather than d.
@@ -417,14 +415,12 @@ def cor2_convergence(
         stats = spec.focal_stats(spec.build_matrix())
         error = abs(fisher_weight(stats) - tfidf(stats))
         ratio = ratio_ok = None
-        if prev is not None and prev[0] * 2 == d and prev[0] >= min_d_for_ratio:
+        if prev is not None and prev[0] * 2 == d and prev[0] >= COR2_MIN_D:
             ratio = prev[1] / error if error > 0.0 else float("inf")
-            ratio_ok = band[0] <= ratio <= band[1]
+            ratio_ok = COR2_BAND[0] <= ratio <= COR2_BAND[1]
         points.append(ConvergencePoint(d=d, b_i=b, error=error, ratio=ratio, ratio_ok=ratio_ok))
         prev = (d, error)
-    return ConvergenceReport(
-        R=R, beta=beta, points=tuple(points), band=band, min_d_for_ratio=min_d_for_ratio
-    )
+    return ConvergenceReport(R=R, beta=beta, points=tuple(points))
 
 
 class DecayPoint(NamedTuple):
@@ -440,31 +436,26 @@ class DecayReport(NamedTuple):
     k: int
     s: int
     points: tuple[DecayPoint, ...]
-    band: tuple[float, float]
 
     @property
-    def checked(self) -> int:
-        """Consecutive doublings whose gap ratio was held against the band."""
-        return sum(p.ratio_ok is not None for p in self.points)
+    def reasons(self) -> tuple[str, ...]:
+        """Why the check failed: no ratio checked, or a ratio outside the band."""
+        if all(p.ratio_ok is None for p in self.points):
+            return ("pmf decay checked no doubling pair",)
+        if any(p.ratio_ok is False for p in self.points):
+            return ("pmf gap not halving as required",)
+        return ()
 
     @property
     def passed(self) -> bool:
-        """At least one ratio was checked, and every one is in the band."""
-        return self.checked > 0 and all(p.ratio_ok is not False for p in self.points)
+        return not self.reasons
 
 
-def binomial_decay_check(
-    p_i: float,
-    k: int,
-    s: int,
-    Ns: Sequence[int],
-    *,
-    band: tuple[float, float] = (1.6, 2.4),
-) -> DecayReport:
+def binomial_decay_check(p_i: float, k: int, s: int, Ns: Sequence[int]) -> DecayReport:
     """Gap between hypergeometric and binomial masses as the population grows.
 
     At fixed p_i = K/N, the pointwise PMF gap decays like 1/N, so doubling N
-    must shrink it by a factor inside the band.
+    must shrink it by a factor inside DECAY_BAND.
     """
     if k < 0 or s < 0:
         raise InvalidSyntheticSpecError(f"need k >= 0 and s >= 0, got k={k}, s={s}")
@@ -484,10 +475,10 @@ def binomial_decay_check(
         ratio = ratio_ok = None
         if prev is not None and prev[0] * 2 == N:
             ratio = prev[1] / gap if gap > 0.0 else float("inf")
-            ratio_ok = band[0] <= ratio <= band[1]
+            ratio_ok = DECAY_BAND[0] <= ratio <= DECAY_BAND[1]
         points.append(DecayPoint(N=N, K=K, gap=gap, ratio=ratio, ratio_ok=ratio_ok))
         prev = (N, gap)
-    return DecayReport(p=p_i, k=k, s=s, points=tuple(points), band=band)
+    return DecayReport(p=p_i, k=k, s=s, points=tuple(points))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -518,26 +509,30 @@ def _format_block(title: str, rows: Sequence[TableRow]) -> str:
     return "\n".join(lines)
 
 
-def render_tables_text(validation: Sequence[TableRow], typical: Sequence[TableRow]) -> str:
-    """Human-readable layout: one block per collection-size group."""
-    small = [r for r in validation if r.block == "small"]
-    large = [r for r in validation if r.block == "large"]
+_BLOCK_TITLES = {
+    "small": "Reference settings: small collections",
+    "large": "Reference settings: large collections",
+    "typical": "Typical-data settings",
+}
+
+
+def render_tables_text(rows: Sequence[TableRow]) -> str:
+    """Human-readable layout: one block per run of rows that share a block."""
     blocks = [
-        _format_block("Reference settings: small collections", small),
-        _format_block("Reference settings: large collections", large),
-        _format_block("Typical-data settings", typical),
+        _format_block(_BLOCK_TITLES[block], list(run))
+        for block, run in groupby(rows, key=lambda row: row.block)
     ]
     return "\n\n".join(blocks) + "\n"
 
 
-def render_tables_csv(validation: Sequence[TableRow], typical: Sequence[TableRow]) -> str:
+def render_tables_csv(rows: Sequence[TableRow]) -> str:
     """Machine-readable mirror of the same numbers."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["block", "setting", "n", "n_i", "b_i", "n_j", "n_ij", "d", "formula", "value", "delta_pct"]
     )
-    for row in list(validation) + list(typical):
+    for row in rows:
         for name in FORMULAS:
             writer.writerow(
                 [row.block, row.label, *row.params, name,
@@ -556,11 +551,7 @@ def render_sweep_text(
         f"q in [{quotient.q_min:.3e}, {quotient.q_max:.6f}] -> {status}"
     )
     for failure in quotient.failures:
-        p = failure.point
-        lines.append(
-            f"  FAIL n={p.n} n_i={p.n_i} n_j={p.n_j} n_ij={p.n_ij}: "
-            f"q={failure.q} {failure.note}"
-        )
+        lines.append(f"  FAIL {failure.point}: q={failure.q} {failure.note}")
     lines.append("")
     lines.append(
         f"exclusive-collection convergence: R={convergence.R} beta={convergence.beta}"
@@ -569,16 +560,14 @@ def render_sweep_text(
         ratio = "n/a" if point.ratio is None else f"{point.ratio:.4f}"
         flag = "" if point.ratio_ok in (None, True) else "  <- outside band"
         lines.append(f"  d={point.d:<6d} b_i={point.b_i:<5d} error={point.error:.8f} ratio={ratio}{flag}")
-    lines.append(
-        f"  halving band {convergence.band} -> {'PASS' if convergence.passed else 'FAIL'}"
-    )
+    lines.append(f"  halving band {COR2_BAND} -> {'PASS' if convergence.passed else 'FAIL'}")
     lines.append("")
     lines.append(f"pmf decay: p={decay.p} k={decay.k} s={decay.s}")
     for point in decay.points:
         ratio = "n/a" if point.ratio is None else f"{point.ratio:.4f}"
         flag = "" if point.ratio_ok in (None, True) else "  <- outside band"
         lines.append(f"  N={point.N:<8d} gap={point.gap:.6e} ratio={ratio}{flag}")
-    lines.append(f"  halving band {decay.band} -> {'PASS' if decay.passed else 'FAIL'}")
+    lines.append(f"  halving band {DECAY_BAND} -> {'PASS' if decay.passed else 'FAIL'}")
     lines.append("")
     total = sum(1 for ok in (quotient.passed, convergence.passed, decay.passed) if ok)
     lines.append(f"sweep summary: {total}/3 checks passed")

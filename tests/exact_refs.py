@@ -4,14 +4,16 @@ The references are built from integers and Fractions only: tail sums are
 big-integer binomial sums, probabilities are exact rationals, and logs are
 taken of (big) integers, which math.log handles at full precision. They
 share no code with the package's log-space engine. The helpers at the end
-(log_sum_exp, the per-draw quantities and embed_cell_counts) are not
-references.
+(log_sum_exp, the per-draw quantities, embed_cell_counts and the counts
+writers) are not references.
 """
 
+import csv
 from fractions import Fraction
 from math import comb, exp, inf, log, log1p
+from pathlib import Path
 
-from termfisher.corpus import CellStats
+from termfisher.corpus import COUNTS_CSV_HEADER, CellStats, TermDocumentMatrix
 from termfisher.errors import InvalidProbabilityError, InvalidSyntheticSpecError
 from termfisher.numerics import chvatal_log_bound, log_binom_pmf
 from termfisher.verify import CellParams
@@ -157,3 +159,29 @@ def embed_cell_counts(params: CellParams) -> list[tuple[str, str, int]]:
         if not mentioned:
             rows.append((filler_term, doc_id(j), 0))  # register the empty document
     return rows
+
+
+def export_counts(matrix: TermDocumentMatrix) -> list[tuple[str, str, int]]:
+    """Rows that rebuild the matrix exactly via ingest_counts.
+
+    The first pass lists every term against document 0 (zero counts
+    included) so that re-ingestion re-seeds the vocabulary order; later
+    documents contribute their nonzero cells, or a single zero row when
+    they have none.
+    """
+    vocab, docs, columns = matrix.vocab, matrix.docs, matrix.columns
+    rows = [(term, docs[0], columns[0].get(i, 0)) for i, term in enumerate(vocab)]
+    for doc, column in zip(docs[1:], columns[1:]):
+        if column:
+            rows.extend((vocab[i], doc, c) for i, c in column.items())
+        else:
+            rows.append((vocab[0], doc, 0))
+    return rows
+
+
+def write_counts_csv(path: str | Path, rows: list[tuple[str, str, int]]) -> None:
+    """Write counts rows as UTF-8 CSV with LF line endings."""
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(COUNTS_CSV_HEADER)
+        writer.writerows(rows)

@@ -29,9 +29,8 @@ from termfisher.verify import (
     binomial_decay_check,
     cor2_convergence,
     default_quotient_grid,
+    evaluate_setting,
     lemma1_sweep,
-    reproduce_typical_table,
-    reproduce_validation_table,
 )
 from termfisher.weights import phi, psi, q_ij, tfidf, tficf
 
@@ -46,7 +45,7 @@ def _report(criterion: str, ok: bool, detail: str = ""):
 
 def test_c01_validation_table_values():
     start = time.perf_counter()
-    rows = reproduce_validation_table()
+    rows = [evaluate_setting(s) for s in VALIDATION_SETTINGS]
     elapsed = time.perf_counter() - start
     bad = [
         (s.block, s.label, name, row.values[name], s.expected[name])
@@ -64,7 +63,7 @@ def test_c01_validation_table_values():
 
 def test_c02_delta_values_both_tables():
     start = time.perf_counter()
-    rows = reproduce_validation_table() + reproduce_typical_table()
+    rows = [evaluate_setting(s) for s in VALIDATION_SETTINGS + TYPICAL_SETTINGS]
     elapsed = time.perf_counter() - start
     settings = VALIDATION_SETTINGS + TYPICAL_SETTINGS
     checked = 0
@@ -86,7 +85,7 @@ def test_c02_delta_values_both_tables():
 
 
 def test_c03_typical_table_values():
-    rows = reproduce_typical_table()
+    rows = [evaluate_setting(s) for s in TYPICAL_SETTINGS]
     bad = [
         (s.label, name, row.values[name], s.expected[name])
         for s, row in zip(TYPICAL_SETTINGS, rows)

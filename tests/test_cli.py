@@ -112,6 +112,15 @@ class TestWeigh:
         assert code == 2
         assert "stopwords" in err
 
+    def test_stopwords_with_counts_input_rejected_before_the_file_is_read(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            "weigh", "--input", CASE1_CSV, "--format", "counts",
+            "--stopwords", str(tmp_path / "missing.txt"),
+            capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --stopwords applies to tokenized input only (jsonl or textdir)\n"
+
     def test_empty_collection_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text('{"id": "d1", "text": "..."}\n', encoding="utf-8")
@@ -477,6 +486,7 @@ class TestTable:
         code, _, err = run_cli("table", capsys=capsys)
         assert code == 3
         assert "small/general tfidf" in err
+        assert err == "mismatch: small/general tfidf: computed 40.2359, expected 41.2359\n"
 
 
 class TestSweep:
@@ -499,6 +509,25 @@ class TestSweep:
         code, out, err = run_cli("sweep", "--grid-file", str(grid), capsys=capsys)
         assert code == 3
         assert "n_i=500" in err
+        assert err == (
+            "sweep failure: quotient at n=1000 n_i=500 n_j=100 n_ij=50: "
+            "q=5.7552248141953015 q outside (0, 1)\n"
+        )
+        assert "sweep summary: 2/3 checks passed" in out
+
+    @pytest.mark.parametrize(
+        "argv, failure",
+        [
+            (("--cor2-R", "2", "--cor2-beta", "0.01", "--cor2-d", "100,200"),
+             "convergence errors not halving as required"),
+            (("--decay-k", "2", "--decay-N", "10,20"), "pmf gap not halving as required"),
+        ],
+    )
+    def test_a_ratio_outside_its_band_fails(self, argv, failure, capsys):
+        code, out, err = run_cli("sweep", *argv, capsys=capsys)
+        assert code == 3
+        assert err == f"sweep failure: {failure}\n"
+        assert "sweep summary: 2/3 checks passed" in out
 
     def test_bad_grid_file_header(self, tmp_path, capsys):
         grid = tmp_path / "grid.csv"
@@ -543,6 +572,27 @@ class TestSweep:
         assert code == 2
         assert "error:" in err
         assert "Traceback" not in err
+
+
+class TestGoldenReports:
+    """table, as text and as CSV, and the default sweep as text print these bytes.
+
+    The sweep CSV is left out: it prints full repr floats, whose last digit
+    can differ from one libm to another.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("table",), "golden_table.txt"),
+            (("table", "--format", "csv"), "golden_table.csv"),
+            (("sweep",), "golden_sweep.txt"),
+        ],
+    )
+    def test_output_matches_golden_bytes(self, argv, golden, capsys):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (DATA / golden).read_bytes()
 
 
 class TestOutputFile:

@@ -43,15 +43,13 @@ from termfisher.verify import (
     render_sweep_text,
     render_tables_csv,
     render_tables_text,
-    reproduce_typical_table,
-    reproduce_validation_table,
 )
 from termfisher.weights import fisher_weight, phi, psi, q_ij, tfidf, tficf, weigh_matrix
 
 
 class TestReferenceTables:
     def test_validation_values_match_frozen_references(self):
-        rows = reproduce_validation_table()
+        rows = [evaluate_setting(s) for s in VALIDATION_SETTINGS]
         assert len(rows) == 6
         for setting, row in zip(VALIDATION_SETTINGS, rows):
             for name in FORMULAS:
@@ -59,7 +57,7 @@ class TestReferenceTables:
                 assert abs(row.deltas[name] - setting.expected_delta[name]) < 5e-5
 
     def test_typical_values_match_frozen_references(self):
-        rows = reproduce_typical_table()
+        rows = [evaluate_setting(s) for s in TYPICAL_SETTINGS]
         assert len(rows) == 2
         for setting, row in zip(TYPICAL_SETTINGS, rows):
             for name in FORMULAS:
@@ -78,7 +76,7 @@ class TestReferenceTables:
             assert abs(delta - setting.expected_delta["tfidf"]) < 5e-5
 
     def test_delta_convention_formula_denominator(self):
-        row = reproduce_validation_table()[0]
+        row = evaluate_setting(VALIDATION_SETTINGS[0])
         expected = abs(row.values["neg_log_p"] - row.values["tfidf"]) / abs(row.values["tfidf"]) * 100
         assert row.deltas["tfidf"] == expected
         assert row.deltas["neg_log_p"] == 0.0
@@ -119,13 +117,13 @@ class TestReferenceTables:
         assert "small/general" in str(mismatches[0])
 
     def test_rendering_is_byte_stable(self):
-        first = render_tables_text(reproduce_validation_table(), reproduce_typical_table())
-        second = render_tables_text(reproduce_validation_table(), reproduce_typical_table())
+        first = render_tables_text(check_reference_tables()[0])
+        second = render_tables_text(check_reference_tables()[0])
         assert first == second
         assert "5.5429" in first and "171.9977" in first
 
     def test_csv_mirror_parses_and_matches(self):
-        out = render_tables_csv(reproduce_validation_table(), reproduce_typical_table())
+        out = render_tables_csv(check_reference_tables()[0])
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 8 * len(FORMULAS)
         lookup = {(r["block"], r["setting"], r["formula"]): r for r in rows}
@@ -237,19 +235,18 @@ class TestSyntheticSpec:
         with pytest.raises(InvalidSyntheticSpecError):
             SyntheticSpec(R=10, r=5, b_i=6, d=5)
 
-    @given(st.tuples(*[st.integers(-1, 6)] * 4), st.sampled_from(["focal", "f2"]))
+    @given(st.tuples(*[st.integers(-1, 6)] * 4))
     @settings(max_examples=300, deadline=None)
-    def test_every_construction_path_checks_the_invariants(self, values, focal_term):
+    def test_every_construction_path_checks_the_invariants(self, values):
         R, r, b_i, d = values
         # the checks __post_init__ made while SyntheticSpec was a frozen dataclass
         rejected = not 0 < r <= R or not 1 <= b_i <= d
-        fields = dict(R=R, r=r, b_i=b_i, d=d, focal_term=focal_term)
-        full = (*values, focal_term, "filler")
+        fields = dict(R=R, r=r, b_i=b_i, d=d)
         base = SyntheticSpec(R=1, r=1, b_i=1, d=1)
         builds = [
-            lambda: SyntheticSpec(*values, focal_term),
+            lambda: SyntheticSpec(*values),
             lambda: SyntheticSpec(**fields),
-            lambda: SyntheticSpec._make(full),
+            lambda: SyntheticSpec._make(values),
             lambda: base._replace(**fields),
         ]
         for build in builds:
@@ -259,7 +256,7 @@ class TestSyntheticSpec:
             else:
                 spec = build()
                 assert type(spec) is SyntheticSpec
-                assert spec == full
+                assert spec == values
 
     def test_fields_cannot_be_assigned(self):
         spec = SyntheticSpec(R=10, r=5, b_i=2, d=5)
@@ -313,7 +310,7 @@ class TestConvergence:
 
     def test_small_d_has_no_ratio_check(self):
         report = cor2_convergence(20, 0.2, (50, 100))
-        assert report.points[1].ratio is None  # 50 < min_d_for_ratio
+        assert report.points[1].ratio is None  # 50 < COR2_MIN_D
         assert report.decreasing
 
     def test_term_in_every_document_gives_zero_error(self):
