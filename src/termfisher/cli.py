@@ -19,17 +19,16 @@ from . import __version__
 from .corpus import (
     TermDocumentMatrix,
     ascii_int,
-    csv_records,
+    csv_rows,
     ingest_counts,
     ingest_text,
-    open_text,
     read_corpus_jsonl,
     read_counts_csv,
     read_stopwords,
     read_text_dir,
     repeated_key_line,
 )
-from .errors import DuplicateCellError, DuplicateDocIdError, InputFormatError, TermfisherError
+from .errors import DuplicateCellError, InputFormatError, TermfisherError
 from .weights import SCHEMES, WeightRecord, weigh_matrix
 
 TSV_COLUMNS = WeightRecord._fields[:-1]  # every field but notes
@@ -86,18 +85,15 @@ def _load_matrix(args: argparse.Namespace) -> TermDocumentMatrix:
     if args.stopwords and args.format == "counts":
         raise _ValidationFailure("--stopwords applies to tokenized input only (jsonl or textdir)")
     stopwords = read_stopwords(args.stopwords) if args.stopwords else frozenset()
+    if args.format == "jsonl":
+        return ingest_text(read_corpus_jsonl(args.input), stopwords=stopwords)
+    if args.format == "textdir":
+        return ingest_text(read_text_dir(args.input), stopwords=stopwords)
     try:
-        if args.format == "counts":
-            return ingest_counts(read_counts_csv(args.input))
-        if args.format == "jsonl":
-            documents = read_corpus_jsonl(args.input)
-        else:  # textdir
-            documents = read_text_dir(args.input)
-        return ingest_text(documents, stopwords=stopwords)
-    except (DuplicateCellError, DuplicateDocIdError) as exc:
-        # only ingestion sees the repeat; its line is looked up on this path alone
-        line = repeated_key_line(args.input, args.format)
-        raise InputFormatError(str(exc), path=args.input, line=line) from None
+        return ingest_counts(read_counts_csv(args.input))
+    except DuplicateCellError as exc:
+        # only ingestion sees the repeated pair; its line is looked up on this path alone
+        raise InputFormatError(str(exc), path=args.input, line=repeated_key_line(args.input)) from None
 
 
 def _parse_schemes(raw: str | None) -> frozenset[str] | None:
@@ -163,23 +159,12 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def _read_grid_file(path: str) -> list[QuotientPoint]:
     points = []
-    with open_text(path, "") as handle:
-        records = csv_records(handle)
-        _, header = next(records, (1, None))
-        if header != ["n", "n_i", "n_j", "n_ij"]:
-            raise InputFormatError(
-                f"expected header 'n,n_i,n_j,n_ij', got {header!r}", path=path, line=1
-            )
-        for lineno, row in records:
-            if not row:
-                continue
-            try:
-                n, n_i, n_j, n_ij = (ascii_int(cell) for cell in row)
-            except ValueError:
-                raise InputFormatError(
-                    "grid rows must be four integers", path=path, line=lineno
-                ) from None
-            points.append(QuotientPoint(n=n, n_i=n_i, n_j=n_j, n_ij=n_ij))
+    for lineno, row in csv_rows(path, ("n", "n_i", "n_j", "n_ij")):
+        try:
+            n, n_i, n_j, n_ij = (ascii_int(cell) for cell in row)
+        except ValueError:
+            raise InputFormatError("grid rows must be four integers", path=path, line=lineno) from None
+        points.append(QuotientPoint(n=n, n_i=n_i, n_j=n_j, n_ij=n_ij))
     return points
 
 

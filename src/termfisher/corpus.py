@@ -17,7 +17,7 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .errors import (
     DuplicateCellError,
@@ -109,7 +109,7 @@ class TermDocumentMatrix:
     index to count, and copies each column sorted, without its zeros.
     """
 
-    def __init__(self, vocab: Sequence[str], docs: Sequence[str], columns: Sequence[Mapping[int, int]]):
+    def __init__(self, vocab: Iterable[str], docs: Iterable[str], columns: Collection[Mapping[int, int]]):
         self._vocab: tuple[str, ...] = tuple(vocab)
         self._docs: tuple[str, ...] = tuple(docs)
         self._term_index = {t: i for i, t in enumerate(self._vocab)}
@@ -246,31 +246,24 @@ def ingest_text(
     Token order within documents is discarded. Documents that tokenize to
     nothing are retained with an empty column.
     """
-    vocab: list[str] = []
-    term_index: dict[str, int] = {}
-    docs: list[str] = []
-    doc_index: dict[str, int] = {}
-    columns: list[dict[int, int]] = []
+    terms: dict[str, int] = {}  # term -> row index, in first-seen order
+    docs: dict[str, dict[int, int]] = {}  # doc id -> its column, in input order
 
     for doc_id, text in documents:
-        if doc_id in doc_index:
+        if doc_id in docs:
             raise DuplicateDocIdError(f"duplicate document id {doc_id!r}")
-        doc_index[doc_id] = len(docs)
-        docs.append(doc_id)
-        column: dict[int, int] = {}
+        column = docs[doc_id] = {}
         for token, count in Counter(tokenize(text, stopwords=stopwords)).items():
-            i = term_index.get(token)
+            i = terms.get(token)
             if i is None:
-                i = term_index[token] = len(vocab)
-                vocab.append(token)
+                i = terms[token] = len(terms)
             column[i] = count
-        columns.append(column)
 
     if not docs:
         raise EmptyCollectionError("no documents provided")
-    if not vocab:
+    if not terms:
         raise EmptyCollectionError("no tokens survived tokenization")
-    return TermDocumentMatrix(vocab, docs, columns)
+    return TermDocumentMatrix(terms, docs, docs.values())
 
 
 def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
@@ -281,27 +274,20 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
     occurrences; terms whose total ends up zero are dropped from the
     vocabulary.
     """
-    vocab: list[str] = []
-    term_index: dict[str, int] = {}
+    terms: dict[str, int] = {}  # term -> row index, in first-seen order
     totals: list[int] = []
-    docs: list[str] = []
-    doc_index: dict[str, int] = {}
-    columns: list[dict[int, int]] = []
+    docs: dict[str, dict[int, int]] = {}  # doc -> its column, in first-seen order
 
     for term, doc, count in rows:
         if count < 0:
             raise NegativeCountError(f"negative count {count} for ({term!r}, {doc!r})")
-        i = term_index.get(term)
+        i = terms.get(term)
         if i is None:
-            i = term_index[term] = len(vocab)
-            vocab.append(term)
+            i = terms[term] = len(totals)
             totals.append(0)
-        j = doc_index.get(doc)
-        if j is None:
-            j = doc_index[doc] = len(docs)
-            docs.append(doc)
-            columns.append({})
-        column = columns[j]
+        column = docs.get(doc)
+        if column is None:
+            column = docs[doc] = {}
         if i in column:
             raise DuplicateCellError(f"duplicate cell ({term!r}, {doc!r})")
         column[i] = count
@@ -312,11 +298,12 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
     kept = [i for i, total in enumerate(totals) if total > 0]
     if not kept:
         raise EmptyCollectionError("all terms have zero total count")
-    if len(kept) < len(vocab):  # renumber; the matrix itself drops zero cells
-        remap = {i: new_i for new_i, i in enumerate(kept)}
-        columns = [{remap[i]: c for i, c in column.items() if i in remap} for column in columns]
-        vocab = [vocab[i] for i in kept]
-    return TermDocumentMatrix(vocab, docs, columns)
+    if len(kept) == len(totals):
+        return TermDocumentMatrix(terms, docs, docs.values())
+    # renumber; the matrix itself drops zero cells
+    remap = {i: new_i for new_i, i in enumerate(kept)}
+    columns = [{remap[i]: c for i, c in column.items() if i in remap} for column in docs.values()]
+    return TermDocumentMatrix([t for t, i in terms.items() if totals[i]], docs, columns)
 
 
 # -- file formats -------------------------------------------------------------
@@ -355,14 +342,27 @@ def _checked_name(name: str, what: str, path: Path, line: int) -> str:
     return name
 
 
-def csv_records(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
-    """Each CSV record (blank ones as []) with the physical line it starts on;
-    a quoted field may hold a newline, so records and lines can differ."""
-    reader = csv.reader(handle)
-    line = 1
-    for row in reader:
-        yield line, row
-        line = reader.line_num + 1
+def csv_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """Each nonblank record after the exact header at line 1, with the physical
+    line it starts on (a quoted field may hold a newline, so records and lines
+    can differ). A wrong header, or a record the csv module cannot read, raises
+    InputFormatError at its line, naming path as the caller passed it."""
+    with open_text(path, "") as handle:
+        reader = csv.reader(handle)
+        line = 1
+        try:
+            first = next(reader, None)
+            if first is None or tuple(first) != header:
+                raise InputFormatError(
+                    f"expected header {','.join(header)!r}, got {first!r}", path=str(path), line=1
+                )
+            line = reader.line_num + 1
+            for row in reader:
+                if row:
+                    yield line, row
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise InputFormatError(f"unreadable CSV record: {exc}", path=str(path), line=line) from None
 
 
 def ascii_int(raw: str) -> int:
@@ -385,66 +385,45 @@ def read_counts_csv(path: str | Path) -> list[tuple[str, str, int]]:
     rows: list[tuple[str, str, int]] = []
     names: dict[str, str] = {}
     counts: dict[str, int] = {}
-    with open_text(path, "") as handle:
-        records = csv_records(handle)
-        _, header = next(records, (1, None))
-        if header is None or tuple(header) != COUNTS_CSV_HEADER:
-            raise InputFormatError(
-                f"expected header {','.join(COUNTS_CSV_HEADER)!r}, got {header!r}",
-                path=str(path),
-                line=1,
-            )
-        for lineno, row in records:
-            if not row:
-                continue
-            if len(row) != 3:
+    for lineno, row in csv_rows(path, COUNTS_CSV_HEADER):
+        if len(row) != 3:
+            raise InputFormatError(f"expected 3 fields, got {len(row)}", path=str(path), line=lineno)
+        term, doc, raw = row
+        count = counts.get(raw)
+        if count is None:
+            try:
+                count = counts[raw] = ascii_int(raw)
+            except ValueError:
                 raise InputFormatError(
-                    f"expected 3 fields, got {len(row)}", path=str(path), line=lineno
-                )
-            term, doc, raw = row
-            count = counts.get(raw)
-            if count is None:
-                try:
-                    count = counts[raw] = ascii_int(raw)
-                except ValueError:
-                    raise InputFormatError(
-                        f"count {raw!r} is not an integer", path=str(path), line=lineno
-                    ) from None
-            if count < 0:
-                raise InputFormatError(
-                    f"count {count} is negative", path=str(path), line=lineno
-                )
-            if term not in names:
-                names[term] = _checked_name(term, "term", path, lineno)
-            if doc not in names:
-                names[doc] = _checked_name(doc, "doc", path, lineno)
-            rows.append((names[term], names[doc], count))
+                    f"count {raw!r} is not an integer", path=str(path), line=lineno
+                ) from None
+        if count < 0:
+            raise InputFormatError(f"count {count} is negative", path=str(path), line=lineno)
+        if term not in names:
+            names[term] = _checked_name(term, "term", path, lineno)
+        if doc not in names:
+            names[doc] = _checked_name(doc, "doc", path, lineno)
+        rows.append((names[term], names[doc], count))
     return rows
 
 
-def repeated_key_line(path: str | Path, fmt: str) -> int:
-    """Line of the first counts CSV row (fmt "counts") that repeats a (term, doc)
-    pair, or corpus JSONL line that repeats an id; 0 if none. It rescans a file
-    that its reader has accepted, so only error reports call it."""
+def repeated_key_line(path: str | Path) -> int:
+    """Line of the first counts CSV row that repeats a (term, doc) pair; 0 if
+    none. It rescans a file that read_counts_csv has accepted, so only error
+    reports call it."""
     seen = set()
-    with open_text(path, "" if fmt == "counts" else None) as handle:
-        if fmt == "counts":  # the header is line 1
-            rows = csv_records(handle)
-            keys = ((lineno, tuple(row[:2])) for lineno, row in rows if row and lineno > 1)
-        else:
-            lines = enumerate(handle, start=1)
-            keys = ((lineno, json.loads(line)["id"]) for lineno, line in lines if line.strip())
-        for lineno, key in keys:
-            if key in seen:
-                return lineno
-            seen.add(key)
+    for lineno, (term, doc, _) in csv_rows(path, COUNTS_CSV_HEADER):
+        if (term, doc) in seen:
+            return lineno
+        seen.add((term, doc))
     return 0
 
 
 def read_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
-    """Read a corpus JSONL file: one object per line with id and text."""
+    """Read a corpus JSONL file: one object per line with id and text, ids
+    unique; the first fault in file order is reported, at its line."""
     path = Path(path)
-    documents: list[tuple[str, str]] = []
+    documents: dict[str, str] = {}  # id -> text, in file order
     with open_text(path, None) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -452,9 +431,11 @@ def read_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError holds JSONDecodeError and an integer past the
+                # digit limit; RecursionError, nesting past the stack
                 raise InputFormatError(
-                    f"invalid JSON: {exc.msg}", path=str(path), line=lineno
+                    f"invalid JSON: {getattr(exc, 'msg', exc)}", path=str(path), line=lineno
                 ) from None
             if not isinstance(obj, dict) or not isinstance(obj.get("id"), str) or not isinstance(obj.get("text"), str):
                 raise InputFormatError(
@@ -462,25 +443,31 @@ def read_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
                     path=str(path),
                     line=lineno,
                 )
-            documents.append((_checked_name(obj["id"], "id", path, lineno), obj["text"]))
-    return documents
+            doc_id = _checked_name(obj["id"], "id", path, lineno)
+            if doc_id in documents:
+                raise InputFormatError(f"duplicate document id {doc_id!r}", path=str(path), line=lineno)
+            documents[doc_id] = obj["text"]
+    return list(documents.items())
 
 
 def read_text_dir(path: str | Path) -> list[tuple[str, str]]:
     """Read every .txt file in a directory; doc id is the file stem.
 
     A missing path or one that is not a directory raises the matching OSError.
-    A file name holding a tab, CR, LF or bytes that are not UTF-8 raises
-    InputFormatError at the directory.
+    A file name holding a tab, CR, LF or bytes that are not UTF-8, or a second
+    file of one stem (".txt" and ".txt.txt"), raises InputFormatError at the
+    directory.
     """
     path = Path(path)
-    documents: list[tuple[str, str]] = []
+    documents: dict[str, str] = {}  # stem -> text, in name order
     for name in sorted(os.listdir(path)):
         if name.endswith(".txt"):
             file = path / _checked_name(name, "file name", path, 0)
+            if file.stem in documents:
+                raise InputFormatError(f"duplicate document id {file.stem!r}", path=str(path))
             with open_text(file, None) as handle:
-                documents.append((file.stem, handle.read()))
-    return documents
+                documents[file.stem] = handle.read()
+    return list(documents.items())
 
 
 def read_stopwords(path: str | Path) -> frozenset[str]:

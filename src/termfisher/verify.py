@@ -284,7 +284,7 @@ def lemma1_sweep(grid: Iterable[QuotientPoint] | None = None) -> QuotientSweepRe
                 n_ij=n_ij, n_i=n_i, n_j=n_j, n=n, b_i=1, d=max(1, n // n_j)
             )
             q = q_ij(stats)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError, OverflowError
             results.append(QuotientResult(point, None, None, False, str(exc)))
             continue
         d_ij = -log(q) / n_j if q > 0.0 else None
@@ -404,6 +404,8 @@ def cor2_convergence(R: int, beta: float, doublings: Sequence[int]) -> Convergen
     The containing fraction b_i/d stays fixed as d grows; with b_i fixed
     instead, the error floor would be set by b_i rather than d.
     """
+    if not 0.0 < beta <= 1.0:  # also rejects nan
+        raise InvalidSyntheticSpecError(f"beta = {beta} is not in (0, 1]")
     points: list[ConvergencePoint] = []
     prev: tuple[int, float] | None = None
     for d in doublings:

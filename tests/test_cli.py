@@ -1,14 +1,18 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termfisher.cli import main
 from termfisher.verify import VALIDATION_SETTINGS
@@ -237,6 +241,91 @@ class TestRepeatedKeys:
         )
         assert (code, out) == (2, "")
         assert err == f"error: {bad}:4: duplicate document id 'x'\n"
+
+    def test_jsonl_repeat_comes_before_a_later_fault(self, tmp_path, capsys):
+        # the reader meets the repeat on line 2 before the bad JSON on line 3
+        bad = tmp_path / "dup.jsonl"
+        bad.write_text('{"id": "x", "text": "a"}\n{"id": "x", "text": "b"}\n{bad\n', encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "jsonl", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:2: duplicate document id 'x'\n"
+
+    def test_textdir_files_of_one_stem(self, tmp_path, capsys):
+        # ".txt" and ".txt.txt" both have the stem ".txt"
+        (tmp_path / ".txt").write_text("alpha", encoding="utf-8")
+        (tmp_path / ".txt.txt").write_text("beta", encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(tmp_path), "--format", "textdir", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path}: duplicate document id '.txt'\n"
+
+
+class TestUnreadableRecords:
+    """A record the reader cannot take apart exits 2 at the line it starts on."""
+
+    BIG = "1" * 200_000  # past the csv module's 131,072-character field limit
+
+    def test_counts_field_past_the_csv_limit(self, tmp_path, capsys):
+        bad = tmp_path / "counts.csv"
+        bad.write_text(f"term,doc,count\na,d1,{self.BIG}\nb,d1,1\n", encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "counts", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {bad}:2: unreadable CSV record: field larger than field limit (131072)\n"
+        )
+
+    def test_grid_field_past_the_csv_limit(self, tmp_path, capsys):
+        bad = tmp_path / "grid.csv"
+        bad.write_text(f"n,n_i,n_j,n_ij\n1000000,{self.BIG},200,20\n", encoding="utf-8")
+        code, out, err = run_cli("sweep", "--grid-file", str(bad), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {bad}:2: unreadable CSV record: field larger than field limit (131072)\n"
+        )
+
+    def test_a_header_past_the_csv_limit_is_line_1(self, tmp_path, capsys):
+        bad = tmp_path / "counts.csv"
+        bad.write_text(f"{self.BIG}\na,d1,1\n", encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "counts", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}:1: unreadable CSV record: ")
+
+    def test_counts_row_with_the_wrong_number_of_fields(self, tmp_path, capsys):
+        bad = tmp_path / "counts.csv"
+        bad.write_text("term,doc,count\na,d1,1\nb,d1\n", encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "counts", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:3: expected 3 fields, got 2\n"
+
+    def test_counts_file_with_only_its_header(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("term,doc,count\n\n", encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(path), "--format", "counts", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: EmptyCollectionError: no count rows provided\n"
+
+    def test_jsonl_line_that_is_not_json(self, tmp_path, capsys):
+        bad = tmp_path / "corpus.jsonl"
+        bad.write_text('{"id": "a", "text": "x"}\n\n{"id": "b", "text": \n', encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "jsonl", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:3: invalid JSON: Expecting value\n"
+
+    def test_jsonl_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        bad = tmp_path / "corpus.jsonl"
+        deep = "[" * 100_000 + "]" * 100_000
+        bad.write_text(f'{{"id": "a", "text": "x"}}\n{{"id": "b", "text": "y", "z": {deep}}}\n', encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "jsonl", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}:2: invalid JSON: maximum recursion depth exceeded")
+
+    def test_jsonl_number_past_the_int_digit_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an integer of more than 4,300 digits
+        bad = tmp_path / "corpus.jsonl"
+        bad.write_text(f'{{"id": "a", "text": "x", "z": {"1" * 5000}}}\n', encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "jsonl", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}:1: invalid JSON: ")
+        assert "Traceback" not in err
 
 
 class TestCountsAreAsciiDigits:
@@ -573,6 +662,36 @@ class TestSweep:
         assert "error:" in err
         assert "Traceback" not in err
 
+    def test_blank_lines_in_a_grid_file_are_skipped(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("n,n_i,n_j,n_ij\n\n1000000,500,200,20\n\n", encoding="utf-8")
+        code, out, err = run_cli("sweep", "--grid-file", str(grid), "--format", "csv", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert [r["check"] for r in csv.DictReader(io.StringIO(out))].count("quotient") == 1
+
+    def test_a_point_too_large_for_a_float_is_a_failed_point(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"n,n_i,n_j,n_ij\n{10**400},{10**399},300,30\n", encoding="utf-8")
+        code, out, err = run_cli("sweep", "--grid-file", str(grid), capsys=capsys)
+        assert code == 3
+        assert err.startswith("sweep failure: quotient at n=1")
+        assert "Traceback" not in err
+        assert "sweep summary: 2/3 checks passed" in out
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "0", "-0.5", "1.5"])
+    def test_cor2_beta_outside_the_unit_interval_is_invalid_input(self, beta, capsys):
+        code, out, err = run_cli("sweep", f"--cor2-beta={beta}", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: InvalidSyntheticSpecError: beta = {float(beta)} is not in (0, 1]\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--cor2-d", "--decay-N"])
+    def test_a_list_flag_that_is_not_integers_is_invalid_input(self, flag, capsys):
+        code, out, err = run_cli("sweep", flag, "100,2x0", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} expects a comma-separated integer list\n"
+
 
 class TestGoldenReports:
     """table, as text and as CSV, and the default sweep as text print these bytes.
@@ -705,3 +824,188 @@ class TestModuleInvocation:
         )
         assert result.returncode == 0
         assert "termfisher" in result.stdout
+
+
+# -- the CLI contract over generated input files ------------------------------
+
+
+def mostly(good, bad):
+    """good seven times in eight, so that many examples get past every fault."""
+    return st.sampled_from([good] * 7 + [bad]).flatmap(lambda strategy: strategy)
+
+
+# names, some of which a CSV writer must quote, and names that are faults: a
+# tab, CR or LF breaks the TSV, and on Python 3.10 the csv module rejects NUL
+NAMES = mostly(
+    st.sampled_from(["a", "b", "c", "", "x y", "d,1", 'q"t', "é", "٣", "\x85"]),
+    st.sampled_from(["t\tb", "l\nf", "c\rr", "n\x00l"]),
+)
+# counts and grid values stay at or below 10**6 in size: the tail kernel's
+# work grows with the square root of the variance
+VALUES = mostly(
+    st.one_of(st.integers(0, 9), st.integers(-2, 10**6)).map(str),
+    st.sampled_from(["", "x", " 1", "1_0", "+2", "２", "1e3", "007", "-1"]),
+)
+BAD_BYTE = mostly(st.none(), st.integers(0, 10**4))  # where to splice in a non-UTF-8 byte
+NEWLINES = st.sampled_from(["\n", "\r\n"])
+FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+def _encode(text: str, bad_at: int | None) -> bytes:
+    data = text.encode("utf-8")
+    if bad_at is not None:
+        at = bad_at % (len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _csv_text(header: list[str], rows: list[list[str]], newline: str) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=newline)
+    writer.writerow(header)
+    writer.writerows(rows)  # an empty row is a blank line
+    return buffer.getvalue()
+
+
+def _corpus_argv(command: str, path: str, fmt: str) -> list[str]:
+    argv = [command, "--input", path, "--format", fmt]
+    return argv + ["--top-k", "2"] if command == "rank" else argv
+
+
+def assert_contract(argv: list[str], files: dict[str, bytes], directory: str | None = None) -> None:
+    """main(argv) exits 0-3 without raising; an exit 2 names a file at one of
+    its lines, the directory, or a collection-level error; exit 0 writes UTF-8
+    rows of the command's width."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), err
+    if code == 2:
+        located = err.startswith("error: EmptyCollectionError: ") or (
+            directory is not None and err.startswith(f"error: {directory}: ")
+        )
+        for path, data in files.items():
+            prefix = f"error: {path}:"
+            if err.startswith(prefix):
+                line, sep, _ = err[len(prefix):].partition(": ")
+                last = data.count(b"\n") + data.count(b"\r") + 1
+                located |= bool(sep) and line.isdigit() and 1 <= int(line) <= last
+        assert located, err
+    if code == 0:
+        out.encode("utf-8")  # no lone surrogate reached stdout
+        width = {"weigh": 13, "rank": 4}.get(argv[0])
+        if width:
+            assert out.endswith("\n")
+            assert all(row.count("\t") == width - 1 for row in out.split("\n")[:-1]), out
+
+
+class TestFuzzedContract:
+    """Every reader, over generated files: nothing escapes main, each fault is located."""
+
+    @FUZZ
+    @given(
+        command=st.sampled_from(["weigh", "rank"]),
+        header=mostly(st.just(["term", "doc", "count"]), st.lists(NAMES, max_size=4)),
+        rows=st.lists(
+            mostly(st.tuples(NAMES, NAMES, VALUES).map(list), st.lists(st.one_of(NAMES, VALUES), max_size=5)),
+            max_size=8,
+        ),
+        newline=NEWLINES,
+        bad_at=BAD_BYTE,
+    )
+    def test_counts_csv(self, command, header, rows, newline, bad_at):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "counts.csv")
+            data = _encode(_csv_text(header, rows, newline), bad_at)
+            Path(path).write_bytes(data)
+            assert_contract(_corpus_argv(command, path, "counts"), {path: data})
+
+    @FUZZ
+    @given(
+        command=st.sampled_from(["weigh", "rank"]),
+        lines=st.lists(
+            mostly(
+                st.builds(
+                    lambda doc_id, text: json.dumps({"id": doc_id, "text": text}),
+                    mostly(st.text(alphabet="abcé\x85", min_size=1, max_size=3), st.sampled_from(["t\tb", "l\nf", "\ud800"])),
+                    st.text(alphabet="ab cé\n\t._5", max_size=12),
+                ),
+                st.sampled_from([
+                    "", "  ", "null", "[1]", "{bad", '{"id": 5, "text": "x"}', '{"id": "a"}',
+                    '{"id": "z", "text": "q", "n": ' + "1" * 5000 + "}",
+                    '{"id": "z", "text": "q", "n": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                ]),
+            ),
+            max_size=6,
+        ),
+        newline=NEWLINES,
+        bad_at=BAD_BYTE,
+    )
+    def test_jsonl(self, command, lines, newline, bad_at):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "corpus.jsonl")
+            data = _encode(newline.join(lines), bad_at)
+            Path(path).write_bytes(data)
+            assert_contract(_corpus_argv(command, path, "jsonl"), {path: data})
+
+    @FUZZ
+    @given(
+        command=st.sampled_from(["weigh", "rank"]),
+        entries=st.lists(
+            st.tuples(
+                mostly(
+                    st.sampled_from([b"a.txt", b"b.txt", b".txt", b".txt.txt", b"c.md"]),
+                    st.sampled_from([b"t\tb.txt", b"l\nf.txt", b"\xff.txt", b"dir.txt"]),
+                ),
+                st.text(alphabet="ab cé\n.", max_size=12),
+                BAD_BYTE,
+            ),
+            max_size=4,
+        ),
+    )
+    def test_textdir(self, command, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = os.path.join(tmp, "docs")
+            os.mkdir(root)
+            files = {}
+            for name, text, bad_at in entries:
+                target = os.path.join(os.fsencode(root), name)
+                if name == b"dir.txt":  # a directory the reader cannot open (exit 1)
+                    os.makedirs(target, exist_ok=True)
+                    continue
+                data = _encode(text, bad_at)
+                Path(os.fsdecode(target)).write_bytes(data)
+                files[os.fsdecode(target)] = data
+            assert_contract(_corpus_argv(command, root, "textdir"), files, directory=root)
+
+    @FUZZ
+    @given(
+        command=st.sampled_from(["weigh", "rank"]),
+        words=st.lists(st.text(alphabet="ab \tANDé\r", max_size=6), max_size=6),
+        bad_at=BAD_BYTE,
+    )
+    def test_stopwords(self, command, words, bad_at):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "stop.txt")
+            data = _encode("\n".join(words), bad_at)
+            Path(path).write_bytes(data)
+            argv = _corpus_argv(command, CORPUS, "jsonl") + ["--stopwords", path]
+            assert_contract(argv, {path: data})
+
+    @FUZZ
+    @given(
+        header=mostly(st.just(["n", "n_i", "n_j", "n_ij"]), st.lists(NAMES, max_size=4)),
+        rows=st.lists(
+            mostly(st.lists(st.integers(-3, 10**6).map(str), min_size=4, max_size=4), st.lists(VALUES, max_size=6)),
+            max_size=6,
+        ),
+        newline=NEWLINES,
+        bad_at=BAD_BYTE,
+    )
+    def test_grid_file(self, header, rows, newline, bad_at):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "grid.csv")
+            data = _encode(_csv_text(header, rows, newline), bad_at)
+            Path(path).write_bytes(data)
+            assert_contract(["sweep", "--grid-file", path], {path: data})

@@ -491,7 +491,7 @@ class TestFileFormats:
         # the record on lines 2-3 holds a newline; the repeat is on line 5
         path = tmp_path / "dup.csv"
         path.write_text('term,doc,count\na,d1,"1\n"\nb,d1,2\na,d1,3\n', encoding="utf-8")
-        assert repeated_key_line(path, "counts") == 5
+        assert repeated_key_line(path) == 5
 
     def test_jsonl_reader(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
