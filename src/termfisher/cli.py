@@ -139,10 +139,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
     lines = ["doc\trank\tterm\tscore\n"]
     # records come document-major, so each document's cells are one run
     for doc, run in groupby(records, key=attrgetter("doc")):
-        scored = ((float(score), r.term) for r in run if (score := getattr(r, field)) is not None)
-        best = heapq.nsmallest(args.top_k, scored, key=lambda p: (-p[0], p[1]))
-        for rank, (score, term) in enumerate(best, start=1):
-            lines.append(f"{doc}\t{rank}\t{term}\t{score:.6f}\n")
+        # the highest score first, ties by ascending term: the smallest (-score, term)
+        scored = ((-float(score), r.term) for r in run if (score := getattr(r, field)) is not None)
+        for rank, (neg_score, term) in enumerate(heapq.nsmallest(args.top_k, scored), start=1):
+            lines.append(f"{doc}\t{rank}\t{term}\t{-neg_score:.6f}\n")
     _emit(lines, args.output)
     return 0
 

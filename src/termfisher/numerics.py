@@ -9,6 +9,12 @@ upper-tail weights in this package require.
 Everything is a pure function. The hypergeometric tail has one algorithm, the
 pmf at one point times a ratio series (R's pdhyper; Wu 1993, ACM TOMS), whose
 work is bounded by the terms above 2**-60 of the sum, not by the support.
+The tail's pmf anchor is ln C(K, x) + ln C(N - K, s - x) - ln C(N, s). Over a
+batch of tails from one collection, ln C(N, s) repeats per document and
+ln C(K, x) per term, so `log_hypergeom_tail` takes an optional memo dict,
+(a, b) -> ln C(a, b), for those two; the caller keeps it for one batch (a
+`weigh_matrix` call) and drops it after. Each value is a pure function of
+its key, so a result does not depend on whether or what memo is passed.
 Error budget, checked in the tests against exact big-integer sums over
 populations up to 10**7 with n_j <= 300: -ln P(X >= k) within 1e-11
 absolute, and the quotient q within 1e-11 relative.
@@ -91,6 +97,18 @@ def _support(K: int, s: int, N: int) -> tuple[int, int]:
     return max(0, s - (N - K)), min(K, s)
 
 
+def _log_pmf(x: int, K: int, s: int, N: int, memo: dict[tuple[int, int], float]) -> float:
+    """ln P(X = x) for x in the support of an already validated population,
+    with ln C(K, x) and ln C(N, s) read from memo (or computed into it)."""
+    per_term = memo.get((K, x))
+    if per_term is None:
+        per_term = memo[K, x] = log_choose(K, x)
+    per_doc = memo.get((N, s))
+    if per_doc is None:
+        per_doc = memo[N, s] = log_choose(N, s)
+    return per_term + log_choose(N - K, s - x) - per_doc
+
+
 def log_hypergeom_pmf(params: HypergeomParams) -> float:
     """ln P(X = k) for X hypergeometric(K, s, N); -inf outside the support."""
     _validate_population(params)
@@ -98,7 +116,7 @@ def log_hypergeom_pmf(params: HypergeomParams) -> float:
     lo, hi = _support(K, s, N)
     if k < lo or k > hi:
         return NEG_INFINITY
-    return log_choose(K, k) + log_choose(N - K, s - k) - log_choose(N, s)
+    return _log_pmf(k, K, s, N, {})
 
 
 def log_binom_pmf(k: int, s: int, p: float) -> float:
@@ -137,7 +155,9 @@ def _falling_series(k: int, K: int, s: int, N: int) -> float:
     return total
 
 
-def log_hypergeom_tail(params: HypergeomParams) -> tuple[float, float]:
+def log_hypergeom_tail(
+    params: HypergeomParams, memo: dict[tuple[int, int], float] | None = None
+) -> tuple[float, float]:
     """(ln P(X >= k), ln P(X >= k - 1)) for X hypergeometric(K, s, N).
 
     Both come from one log-pmf anchor. Each is exactly 0.0 when its bound is
@@ -148,8 +168,14 @@ def log_hypergeom_tail(params: HypergeomParams) -> tuple[float, float]:
     the tail of the mirrored draw s - X ~ hypergeometric(N - K, s, N):
     P(X >= k) = 1 - P(X <= k - 1) and P(X >= k - 1) = 1 - P(X <= k - 2), both
     through log1p. At k = hi + 1 the anchor is pmf(hi), the second value.
+
+    memo, if given, maps (a, b) to ln C(a, b) and holds the anchor's two
+    terms that repeat over a batch, ln C(K, .) and ln C(N, s); without it a
+    fresh one is used, and the values are the same either way.
     """
     _validate_population(params)
+    if memo is None:
+        memo = {}
     k, K, s, N = params
     lo, hi = _support(K, s, N)
     if k <= lo:
@@ -157,16 +183,15 @@ def log_hypergeom_tail(params: HypergeomParams) -> tuple[float, float]:
     if k > hi + 1:
         return NEG_INFINITY, NEG_INFINITY
     if k > hi:
-        tail, before = NEG_INFINITY, log_hypergeom_pmf(HypergeomParams(hi, K, s, N))
+        tail, before = NEG_INFINITY, _log_pmf(hi, K, s, N, memo)
     elif k > (K + 1) * (s + 1) // (N + 2):
-        anchor = log_hypergeom_pmf(params)
+        anchor = _log_pmf(k, K, s, N, memo)
         total = _falling_series(k, K, s, N)
         back = k * (N - K - s + k) / ((K - k + 1) * (s - k + 1))  # pmf(k - 1) / pmf(k)
         tail, before = anchor + log(total), anchor + log(total + back)
     else:
-        mirrored = HypergeomParams(s - k + 1, N - K, s, N)
-        anchor = log_hypergeom_pmf(mirrored)
-        total = _falling_series(*mirrored)
+        anchor = _log_pmf(k - 1, K, s, N, memo)  # the mirrored draw's pmf at s - k + 1
+        total = _falling_series(s - k + 1, N - K, s, N)
         tail, before = log1p(-exp(anchor + log(total))), log1p(-exp(anchor) * (total - 1.0))
     return tail, 0.0 if k - 1 == lo else min(before, 0.0)
 

@@ -359,6 +359,12 @@ COR2_MIN_D = 100         # the smallest d whose doubling is held against the ban
 DECAY_BAND = (1.6, 2.4)  # bounds on gap_N / gap_2N
 
 
+def _too_large(**counts: int) -> InvalidSyntheticSpecError:
+    """The error for counts past the float range of the kernel's arithmetic."""
+    named = ", ".join(f"{name} = {value}" for name, value in counts.items())
+    return InvalidSyntheticSpecError(f"{named}: too large for float arithmetic")
+
+
 class ConvergencePoint(NamedTuple):
     d: int
     b_i: int
@@ -409,13 +415,16 @@ def cor2_convergence(R: int, beta: float, doublings: Sequence[int]) -> Convergen
     points: list[ConvergencePoint] = []
     prev: tuple[int, float] | None = None
     for d in doublings:
-        b_float = beta * d
-        b = round(b_float)
-        if abs(b_float - b) > 1e-9 or not 1 <= b <= d:
-            raise InvalidSyntheticSpecError(f"beta * d = {b_float} is not a valid document count")
-        spec = SyntheticSpec(R=R, r=R, b_i=b, d=d)
-        stats = spec.focal_stats(spec.build_matrix())
-        error = abs(fisher_weight(stats) - tfidf(stats))
+        try:
+            b_float = beta * d
+            b = round(b_float)
+            if abs(b_float - b) > 1e-9 or not 1 <= b <= d:
+                raise InvalidSyntheticSpecError(f"beta * d = {b_float} is not a valid document count")
+            spec = SyntheticSpec(R=R, r=R, b_i=b, d=d)
+            stats = spec.focal_stats(spec.build_matrix())
+            error = abs(fisher_weight(stats) - tfidf(stats))
+        except OverflowError:
+            raise _too_large(R=R, d=d) from None
         ratio = ratio_ok = None
         if prev is not None and prev[0] * 2 == d and prev[0] >= COR2_MIN_D:
             ratio = prev[1] / error if error > 0.0 else float("inf")
@@ -461,18 +470,24 @@ def binomial_decay_check(p_i: float, k: int, s: int, Ns: Sequence[int]) -> Decay
     """
     if k < 0 or s < 0:
         raise InvalidSyntheticSpecError(f"need k >= 0 and s >= 0, got k={k}, s={s}")
-    binom = 0.0 if k > s else exp(log_binom_pmf(k, s, p_i))
+    try:
+        binom = 0.0 if k > s else exp(log_binom_pmf(k, s, p_i))
+    except OverflowError:
+        raise _too_large(s=s) from None
     points: list[DecayPoint] = []
     prev: tuple[int, float] | None = None
     for N in Ns:
-        K_float = p_i * N
-        K = round(K_float)
-        if abs(K_float - K) > 1e-9 or not 0 <= K <= N:
-            raise InvalidSyntheticSpecError(f"p_i * N = {K_float} is not a valid success count")
-        if k > s:
-            hyper = 0.0
-        else:
-            hyper = exp(log_hypergeom_pmf(HypergeomParams(k=k, K=K, s=min(s, N), N=N)))
+        try:
+            K_float = p_i * N
+            K = round(K_float)
+            if abs(K_float - K) > 1e-9 or not 0 <= K <= N:
+                raise InvalidSyntheticSpecError(f"p_i * N = {K_float} is not a valid success count")
+            if k > s:
+                hyper = 0.0
+            else:
+                hyper = exp(log_hypergeom_pmf(HypergeomParams(k=k, K=K, s=min(s, N), N=N)))
+        except OverflowError:
+            raise _too_large(N=N, s=s) from None
         gap = abs(hyper - binom)
         ratio = ratio_ok = None
         if prev is not None and prev[0] * 2 == N:

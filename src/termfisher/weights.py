@@ -46,10 +46,10 @@ def tficf(stats: CellStats) -> float:
     return stats.n_ij * icf(stats)
 
 
-def _log_tails(stats: CellStats) -> tuple[float, float]:
+def _log_tails(stats: CellStats, memo: dict | None = None) -> tuple[float, float]:
     """(ln P(X >= n_ij + 1), ln P(X >= n_ij)): the one kernel call that every
-    tail scheme shares."""
-    return log_hypergeom_tail(HypergeomParams(stats.n_ij + 1, stats.n_i, stats.n_j, stats.n))
+    tail scheme shares; memo is the kernel's ln C memo for the batch, if any."""
+    return log_hypergeom_tail(HypergeomParams(stats.n_ij + 1, stats.n_i, stats.n_j, stats.n), memo)
 
 
 def _quotient(stats: CellStats, log_tail_past: float) -> float:
@@ -120,62 +120,52 @@ class WeightRecord(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-_VALUE_FIELDS = WeightRecord._fields[3:-1]  # idf ... cor1_approx
-
-
-def _cell_record(stats: CellStats, schemes: frozenset[str]) -> tuple:
+def _cell_record(stats: CellStats, schemes: frozenset[str], memo: dict | None = None) -> tuple:
     """The record of one cell without term and doc: tf, the selected scheme
-    values (None where not selected or NA), and a note for each that is NA."""
-    values: dict[str, float] = {}
-    notes: list[str] = []
-
+    values (None where not selected or NA), and a note for each that is NA.
+    memo is passed on to the tail kernel."""
+    n_ij = stats.n_ij
     idf_v = idf(stats)
     icf_v = icf(stats)
-    if "idf" in schemes:
-        values["idf"] = idf_v
-    if "icf" in schemes:
-        values["icf"] = icf_v
-    if "tfidf" in schemes:
-        values["tfidf"] = stats.n_ij * idf_v
-    if "tficf" in schemes:
-        values["tficf"] = stats.n_ij * icf_v
-    want_q = schemes & {"phi", "psi", "approximations"}
-    if "fisher" in schemes or want_q:
-        log_tail_past, log_tail = _log_tails(stats)
-    if "fisher" in schemes:
-        values["neg_log_p"] = 0.0 - log_tail
-
-    q_v: float | None = None
-    if want_q:
-        try:
-            q_v = _quotient(stats, log_tail_past)
-            values["q"] = q_v
-        except UndefinedQuotientError as exc:
-            notes.append(f"q: {exc}")
-    phi_v: float | None = None
-    if schemes & {"phi", "approximations"}:
+    wants_phi = "phi" in schemes or "approximations" in schemes
+    wants_psi = "psi" in schemes or "approximations" in schemes
+    neg_log_p = q_v = phi_v = psi_v = thm1_v = cor1_v = None
+    notes: list[str] = []
+    if "fisher" in schemes or wants_phi or wants_psi:
+        log_tail_past, log_tail = _log_tails(stats, memo)
+        if "fisher" in schemes:
+            neg_log_p = 0.0 - log_tail
+        if wants_phi or wants_psi:
+            try:
+                q_v = _quotient(stats, log_tail_past)
+            except UndefinedQuotientError as exc:
+                notes.append(f"q: {exc}")
+    if wants_phi:
         if q_v is None:
             notes.append("phi: requires q")
         else:
             try:
                 phi_v = phi(stats, q_v)
-                values["phi"] = phi_v
             except UndefinedPhiError as exc:
                 notes.append(f"phi: {exc}")
-    psi_v: float | None = None
-    if schemes & {"psi", "approximations"}:
+    if wants_psi:
         if q_v is None:
             notes.append("psi: requires q")
         else:
             psi_v = psi(stats, q_v)
-            values["psi"] = psi_v
     if "approximations" in schemes:
         if phi_v is not None:
-            values["thm1_approx"] = stats.n_ij * icf_v + phi_v
+            thm1_v = n_ij * icf_v + phi_v
         if psi_v is not None:
-            values["cor1_approx"] = stats.n_ij * idf_v + psi_v
-
-    return (stats.n_ij, *map(values.get, _VALUE_FIELDS), tuple(notes))
+            cor1_v = n_ij * idf_v + psi_v
+    return (
+        n_ij,
+        idf_v if "idf" in schemes else None,
+        icf_v if "icf" in schemes else None,
+        n_ij * idf_v if "tfidf" in schemes else None,
+        n_ij * icf_v if "tficf" in schemes else None,
+        neg_log_p, q_v, phi_v, psi_v, thm1_v, cor1_v, tuple(notes),
+    )
 
 
 def weigh_matrix(
@@ -213,6 +203,7 @@ def weigh_matrix(
     all_terms = range(matrix.m)
     make = WeightRecord._make
     memo: dict[tuple[int, int, int, int], tuple] = {}
+    log_choose_memo: dict[tuple[int, int], float] = {}  # the kernel's, for this matrix's tails
     records = []
     for j, column in enumerate(matrix.columns):
         n_j = col_totals[j]
@@ -228,6 +219,6 @@ def weigh_matrix(
             key = (n_ij, row_totals[i], n_j_key, b_i_key[i])
             tail = memo.get(key)
             if tail is None:
-                tail = memo[key] = _cell_record(matrix.cell_stats(i, j), selected)
+                tail = memo[key] = _cell_record(matrix.cell_stats(i, j), selected, log_choose_memo)
             records.append(make((vocab[i], doc, *tail)))
     return records

@@ -686,6 +686,13 @@ class TestSweep:
             f"error: InvalidSyntheticSpecError: beta = {float(beta)} is not in (0, 1]\n"
         )
 
+    @pytest.mark.parametrize("flag", ["--cor2-R", "--decay-N", "--decay-s"])
+    def test_a_count_too_large_for_a_float_is_invalid_input(self, flag, capsys):
+        code, out, err = run_cli("sweep", flag, str(10**160), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: InvalidSyntheticSpecError: ")
+        assert err.endswith(": too large for float arithmetic\n")
+
     @pytest.mark.parametrize("flag", ["--cor2-d", "--decay-N"])
     def test_a_list_flag_that_is_not_integers_is_invalid_input(self, flag, capsys):
         code, out, err = run_cli("sweep", flag, "100,2x0", capsys=capsys)

@@ -292,6 +292,27 @@ class TestHypergeomTail:
         k = data.draw(st.integers(min_value=0, max_value=min(K, s) + 2))
         assert_pair_matches_oracle(k, K, s, N)
 
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_a_shared_memo_changes_no_bit(self, data):
+        # one memo across populations that share N, K or s, each evaluated
+        # twice, so later calls read terms that earlier ones stored
+        Ns = data.draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=3))
+        memo = {}
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            N = data.draw(st.sampled_from(Ns))
+            K = data.draw(st.integers(min_value=0, max_value=N))
+            s = data.draw(st.integers(min_value=0, max_value=N))
+            lo, hi = max(0, s - (N - K)), min(K, s)
+            mode = (K + 1) * (s + 1) // (N + 2)
+            # at or below lo: whole; lo + 1: lower edge; mode: mirrored;
+            # mode + 1: falling; hi + 1: upper edge anchor; hi + 2: empty
+            for k in sorted({lo, lo + 1, mode, mode + 1, hi, hi + 1, hi + 2}) * 2:
+                params = HypergeomParams(k, K, s, N)
+                shared = log_hypergeom_tail(params, memo)
+                fresh = log_hypergeom_tail(params)
+                assert [v.hex() for v in shared] == [v.hex() for v in fresh]
+
 
 class TestTailOracle:
     def test_exact_small_case(self):

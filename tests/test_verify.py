@@ -100,9 +100,9 @@ class TestReferenceTables:
         calls = []
         kernel = termfisher.weights.log_hypergeom_tail
 
-        def counting(params):
+        def counting(params, memo=None):
             calls.append(params)
-            return kernel(params)
+            return kernel(params, memo)
 
         monkeypatch.setattr(termfisher.weights, "log_hypergeom_tail", counting)
         check_reference_tables()

@@ -229,9 +229,9 @@ class TestWeighMatrix:
         calls = []
         kernel = termfisher.weights.log_hypergeom_tail
 
-        def counting(params):
+        def counting(params, memo=None):
             calls.append(params)
-            return kernel(params)
+            return kernel(params, memo)
 
         monkeypatch.setattr(termfisher.weights, "log_hypergeom_tail", counting)
         matrix = ingest_text(
@@ -403,9 +403,9 @@ class TestWeighMatrixMemo:
         per_kernel_call = []
         kernel = termfisher.weights.log_hypergeom_tail
 
-        def counting_kernel(params):
+        def counting_kernel(params, memo=None):
             before = len(pmf_calls)
-            result = kernel(params)
+            result = kernel(params, memo)
             per_kernel_call.append(len(pmf_calls) - before)
             return result
 
@@ -426,9 +426,9 @@ class TestWeighMatrixMemo:
         calls = []
         kernel = termfisher.weights.log_hypergeom_tail
 
-        def counting(params):
+        def counting(params, memo=None):
             calls.append(params)
-            return kernel(params)
+            return kernel(params, memo)
 
         monkeypatch.setattr(termfisher.weights, "log_hypergeom_tail", counting)
         # the six terms seen once, each in a two-word document, share one key
@@ -455,6 +455,30 @@ class TestWeighMatrixMemo:
         for matrix in (small, larger_n, larger_d, small):
             assert_matches_cell_by_cell(matrix, include_zeros=False)
             assert_matches_cell_by_cell(matrix, include_zeros=True)
+
+    def test_one_log_choose_per_document_length_per_call(self, monkeypatch):
+        calls = []
+        log_choose = termfisher.numerics.log_choose
+
+        def counting(a, b):
+            calls.append((a, b))
+            return log_choose(a, b)
+
+        monkeypatch.setattr(termfisher.numerics, "log_choose", counting)
+        # lengths 3, 3, 2 and 4 in one matrix, 2, 5 and 5 in the other; no
+        # term fills its collection, so only ln C(N, n_j) has N as its top
+        first = ingest_text([("d1", "a b c"), ("d2", "a a d"), ("d3", "b e"), ("d4", "c d e f")])
+        second = ingest_text([("e1", "x y"), ("e2", "x y z w v"), ("e3", "y y z u t")])
+
+        def per_document(matrix):
+            """The ln C(N, n_j) evaluations of one weigh_matrix call, by n_j."""
+            calls.clear()
+            weigh_matrix(matrix, {"fisher"})
+            return sorted(b for a, b in calls if a == matrix.grand_total)
+
+        assert per_document(first) == [2, 3, 4]
+        assert per_document(second) == [2, 5]
+        assert per_document(first) == [2, 3, 4]  # no value survives its call
 
 
 class TestWeightInvariants:
