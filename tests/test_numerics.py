@@ -295,8 +295,8 @@ class TestHypergeomTail:
     @given(st.data())
     @settings(max_examples=200)
     def test_a_shared_memo_changes_no_bit(self, data):
-        # one memo across populations that share N, K or s, each evaluated
-        # twice, so later calls read terms that earlier ones stored
+        # one memo across populations, which often share N, and each k twice,
+        # so that later calls read terms that earlier ones stored
         Ns = data.draw(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=3))
         memo = {}
         for _ in range(data.draw(st.integers(min_value=1, max_value=6))):

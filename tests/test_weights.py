@@ -465,8 +465,10 @@ class TestWeighMatrixMemo:
             return log_choose(a, b)
 
         monkeypatch.setattr(termfisher.numerics, "log_choose", counting)
-        # lengths 3, 3, 2 and 4 in one matrix, 2, 5 and 5 in the other; no
-        # term fills its collection, so only ln C(N, n_j) has N as its top
+        # lengths 3, 3, 2 and 4 in one matrix, 2, 5 and 5 in the other, 12
+        # tokens in each: a memo that outlived its call would leave out
+        # ln C(12, 2) from the second. No term fills its collection, so only
+        # ln C(N, n_j) has N as its top
         first = ingest_text([("d1", "a b c"), ("d2", "a a d"), ("d3", "b e"), ("d4", "c d e f")])
         second = ingest_text([("e1", "x y"), ("e2", "x y z w v"), ("e3", "y y z u t")])
 
