@@ -693,6 +693,13 @@ class TestSweep:
         assert err.startswith("error: InvalidSyntheticSpecError: ")
         assert err.endswith(": too large for float arithmetic\n")
 
+    def test_a_document_count_too_large_for_a_float_is_invalid_input(self, capsys):
+        # beta * d overflows only past the float range; a smaller d builds its collection
+        code, out, err = run_cli("sweep", "--cor2-d", str(10**400), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: InvalidSyntheticSpecError: R = 20, d = 1")
+        assert err.endswith(": too large for float arithmetic\n")
+
     @pytest.mark.parametrize("flag", ["--cor2-d", "--decay-N"])
     def test_a_list_flag_that_is_not_integers_is_invalid_input(self, flag, capsys):
         code, out, err = run_cli("sweep", flag, "100,2x0", capsys=capsys)

@@ -393,12 +393,13 @@ class TestWeighMatrixMemo:
         assert len(records) == 6
 
     def test_one_log_pmf_per_kernel_call(self, monkeypatch):
+        # the kernel's anchor and log_hypergeom_pmf both evaluate through _log_pmf
         pmf_calls = []
-        pmf = termfisher.numerics.log_hypergeom_pmf
+        pmf = termfisher.numerics._log_pmf
 
-        def counting_pmf(params):
-            pmf_calls.append(params)
-            return pmf(params)
+        def counting_pmf(x, K, s, N, memo):
+            pmf_calls.append((x, K, s, N))
+            return pmf(x, K, s, N, memo)
 
         per_kernel_call = []
         kernel = termfisher.weights.log_hypergeom_tail
@@ -409,9 +410,7 @@ class TestWeighMatrixMemo:
             per_kernel_call.append(len(pmf_calls) - before)
             return result
 
-        monkeypatch.setattr(termfisher.numerics, "log_hypergeom_pmf", counting_pmf)
-        # also counted if the weights module evaluates a log-pmf of its own
-        monkeypatch.setattr(termfisher.weights, "log_hypergeom_pmf", counting_pmf, raising=False)
+        monkeypatch.setattr(termfisher.numerics, "_log_pmf", counting_pmf)
         monkeypatch.setattr(termfisher.weights, "log_hypergeom_tail", counting_kernel)
         # with the zero cells: tails past and below the mode, at the upper
         # support edge (a term filling its document) and at the lower one
@@ -419,6 +418,7 @@ class TestWeighMatrixMemo:
             [("d1", "apple apple apple pear plum"), ("d2", "pear pear plum quince"), ("d3", "fig")]
         )
         weigh_matrix(matrix, include_zeros=True)
+        assert pmf_calls, "no anchor counted: the kernel no longer evaluates through _log_pmf"
         assert per_kernel_call and max(per_kernel_call) <= 1
         assert len(pmf_calls) <= len(per_kernel_call)
 
