@@ -108,9 +108,21 @@ def _parse_schemes(raw: str | None) -> frozenset[str] | None:
     return names
 
 
+def _weigh(
+    args: argparse.Namespace, matrix: TermDocumentMatrix, schemes: Iterable[str] | None,
+    include_zeros: bool = False,
+) -> list[WeightRecord]:
+    """weigh_matrix's records, all computed before any output opens, so that
+    counts past the float range of its arithmetic are invalid input."""
+    try:
+        return weigh_matrix(matrix, schemes, include_zeros=include_zeros)
+    except OverflowError:
+        raise InputFormatError("counts too large for float arithmetic", path=args.input) from None
+
+
 def cmd_weigh(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args)
-    records = weigh_matrix(matrix, _parse_schemes(args.schemes), include_zeros=args.include_zeros)
+    records = _weigh(args, matrix, _parse_schemes(args.schemes), args.include_zeros)
     _emit(_weigh_lines(records), args.output)
     return 0
 
@@ -135,7 +147,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         raise _ValidationFailure("--top-k must be >= 1")
     matrix = _load_matrix(args)
     scheme, field = RANK_SCHEMES[args.scheme]
-    records = weigh_matrix(matrix, {scheme})
+    records = _weigh(args, matrix, {scheme})
     lines = ["doc\trank\tterm\tscore\n"]
     # records come document-major, so each document's cells are one run
     for doc, run in groupby(records, key=attrgetter("doc")):

@@ -112,8 +112,6 @@ class TermDocumentMatrix:
     def __init__(self, vocab: Iterable[str], docs: Iterable[str], columns: Collection[Mapping[int, int]]):
         self._vocab: tuple[str, ...] = tuple(vocab)
         self._docs: tuple[str, ...] = tuple(docs)
-        self._term_index = {t: i for i, t in enumerate(self._vocab)}
-        self._doc_index = {doc: j for j, doc in enumerate(self._docs)}
 
         m, d = len(self._vocab), len(self._docs)
         if m < 1 or d < 1:
@@ -161,18 +159,6 @@ class TermDocumentMatrix:
     def d(self) -> int:
         return len(self._docs)
 
-    def term_index(self, term: str) -> int:
-        try:
-            return self._term_index[term]
-        except KeyError:
-            raise IndexOutOfRangeError(f"unknown term {term!r}") from None
-
-    def doc_index(self, doc: str) -> int:
-        try:
-            return self._doc_index[doc]
-        except KeyError:
-            raise IndexOutOfRangeError(f"unknown document {doc!r}") from None
-
     # -- totals -------------------------------------------------------------
 
     @property
@@ -216,12 +202,6 @@ class TermDocumentMatrix:
             b_i=self._doc_freq[i],
             d=self.d,
         )
-
-    def nonzero_cells(self) -> Iterator[tuple[int, int]]:
-        """Yield (i, j) with positive count, document-major then term index."""
-        for j, column in enumerate(self._columns):
-            for i in column:
-                yield i, j
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TermDocumentMatrix):

@@ -4,7 +4,7 @@ Reproduces the package's built-in reference tables (frozen known-good values
 for the enrichment weight, TF-ICF/TF-IDF, and their corrected approximations
 across eight parameter settings), sweeps the tail/binomial quotient over its
 documented regime, and checks the convergence behavior of the approximations
-on synthetic collections.
+on exclusive collections.
 
 Reference values are regression oracles: tests re-derive each of them from
 exact integer enumeration, so the frozen numbers are verified, not assumed.
@@ -18,7 +18,7 @@ from itertools import groupby
 from math import exp, log
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import CellStats, TermDocumentMatrix, ingest_counts
+from .corpus import CellStats
 from .errors import InvalidSyntheticSpecError
 from .numerics import HypergeomParams, log_binom_pmf, log_hypergeom_pmf
 from .weights import SCHEMES, WeightRecord, _cell_record, fisher_weight, q_ij, tfidf
@@ -33,16 +33,8 @@ FORMULA_LABELS = {
     "tfidf": "tfidf",
 }
 
-
-class CellParams(NamedTuple):
-    """One contingency setting: collection totals plus the focal cell."""
-
-    n: int
-    n_i: int
-    b_i: int
-    n_j: int
-    n_ij: int
-    d: int
+# the order in which a setting lists its integers, here and in the CSV columns
+_TABLE_PARAMS = ("n", "n_i", "b_i", "n_j", "n_ij", "d")
 
 
 class TableSetting(NamedTuple):
@@ -50,7 +42,7 @@ class TableSetting(NamedTuple):
 
     block: str    # "small" / "large" / "typical"
     label: str    # "general" / "uniform" / "exclusive" / "case-1" / "case-2"
-    params: CellParams
+    params: CellStats
     expected: Mapping[str, float]        # formula -> reference value
     expected_delta: Mapping[str, float]  # formula -> reference |delta %|
 
@@ -59,7 +51,7 @@ def _setting(block, label, params, values, deltas) -> TableSetting:
     return TableSetting(
         block=block,
         label=label,
-        params=CellParams(*params),
+        params=CellStats(**dict(zip(_TABLE_PARAMS, params))),
         expected=dict(zip(FORMULAS, values)),
         expected_delta=dict(zip(FORMULAS, deltas)),
     )
@@ -122,15 +114,14 @@ class TableRow(NamedTuple):
 
     block: str
     label: str
-    params: CellParams
+    params: CellStats
     values: Mapping[str, float]
     deltas: Mapping[str, float]
 
 
 def evaluate_setting(setting: TableSetting) -> TableRow:
     """The setting's formulas, read from the record weigh_matrix gives its cell."""
-    stats = CellStats(**setting.params._asdict())
-    record = WeightRecord("", "", *_cell_record(stats, SCHEMES))
+    record = WeightRecord("", "", *_cell_record(setting.params, SCHEMES))
     neg_log_p = record.neg_log_p
     values = {
         "neg_log_p": neg_log_p,
@@ -295,63 +286,6 @@ def lemma1_sweep(grid: Iterable[QuotientPoint] | None = None) -> QuotientSweepRe
     return QuotientSweepReport(results=tuple(results))
 
 
-# -- synthetic collections ----------------------------------------------------
-
-
-class _SyntheticFields(NamedTuple):
-    R: int
-    r: int
-    b_i: int
-    d: int
-
-
-class SyntheticSpec(_SyntheticFields):
-    """Idealized collection: d documents of length R, the term "focal" occurring
-    r times in each of b_i of them, the term "filler" taking the rest; checked
-    however it is built (the constructor, _make or _replace)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "SyntheticSpec":
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0 < self.r <= self.R:
-            raise InvalidSyntheticSpecError(f"need 0 < r <= R, got r={self.r}, R={self.R}")
-        if not 1 <= self.b_i <= self.d:
-            raise InvalidSyntheticSpecError(f"need 1 <= b_i <= d, got b_i={self.b_i}, d={self.d}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "SyntheticSpec":
-        return cls(*iterable)  # through __new__, and so is _replace
-
-    def doc_id(self, j: int) -> str:
-        return f"doc{j:05d}"
-
-    @property
-    def focal_doc(self) -> str:
-        return self.doc_id(0)
-
-    def build_counts(self) -> list[tuple[str, str, int]]:
-        rows = []
-        for j in range(self.d):
-            doc = self.doc_id(j)
-            if j < self.b_i:
-                rows.append(("focal", doc, self.r))
-                if self.R > self.r:
-                    rows.append(("filler", doc, self.R - self.r))
-            else:
-                rows.append(("filler", doc, self.R))
-        return rows
-
-    def build_matrix(self) -> TermDocumentMatrix:
-        return ingest_counts(self.build_counts())
-
-    def focal_stats(self, matrix: TermDocumentMatrix) -> CellStats:
-        return matrix.cell_stats(
-            matrix.term_index("focal"), matrix.doc_index(self.focal_doc)
-        )
-
-
 # -- convergence checks -------------------------------------------------------
 
 COR2_BAND = (1.8, 2.2)   # bounds on e_d / e_2d
@@ -401,9 +335,10 @@ class ConvergenceReport(NamedTuple):
 def cor2_convergence(R: int, beta: float, doublings: Sequence[int]) -> ConvergenceReport:
     """Gap between the enrichment weight and TF-IDF on exclusive collections.
 
-    For each document count d (with b_i = beta * d documents containing the
-    focal term exclusively), builds the collection, evaluates
-    e_d = |(-log p) - tfidf| at the focal cell, and checks that errors fall
+    For each document count d, the collection has d documents of R terms
+    each, and the focal term fills b_i = beta * d of them. Its cell in one of
+    those is fixed by (R, b_i, d): n_ij = n_j = R, n_i = R * b_i, n = R * d.
+    Evaluates e_d = |(-log p) - tfidf| at that cell, and checks that errors fall
     roughly in half per doubling of d: the ratio e_d / e_2d must lie in
     COR2_BAND for consecutive doublings with d >= COR2_MIN_D.
 
@@ -412,6 +347,8 @@ def cor2_convergence(R: int, beta: float, doublings: Sequence[int]) -> Convergen
     """
     if not 0.0 < beta <= 1.0:  # also rejects nan
         raise InvalidSyntheticSpecError(f"beta = {beta} is not in (0, 1]")
+    if R < 1:
+        raise InvalidSyntheticSpecError(f"R = {R} is not a positive document length")
     points: list[ConvergencePoint] = []
     prev: tuple[int, float] | None = None
     for d in doublings:
@@ -420,8 +357,7 @@ def cor2_convergence(R: int, beta: float, doublings: Sequence[int]) -> Convergen
             b = round(b_float)
             if abs(b_float - b) > 1e-9 or not 1 <= b <= d:
                 raise InvalidSyntheticSpecError(f"beta * d = {b_float} is not a valid document count")
-            spec = SyntheticSpec(R=R, r=R, b_i=b, d=d)
-            stats = spec.focal_stats(spec.build_matrix())
+            stats = CellStats(n_ij=R, n_i=R * b, n_j=R, n=R * d, b_i=b, d=d)
             error = abs(fisher_weight(stats) - tfidf(stats))
         except OverflowError:
             raise _too_large(R=R, d=d) from None
@@ -546,13 +482,12 @@ def render_tables_csv(rows: Sequence[TableRow]) -> str:
     """Machine-readable mirror of the same numbers."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["block", "setting", "n", "n_i", "b_i", "n_j", "n_ij", "d", "formula", "value", "delta_pct"]
-    )
+    writer.writerow(["block", "setting", *_TABLE_PARAMS, "formula", "value", "delta_pct"])
     for row in rows:
+        params = [getattr(row.params, field) for field in _TABLE_PARAMS]
         for name in FORMULAS:
             writer.writerow(
-                [row.block, row.label, *row.params, name,
+                [row.block, row.label, *params, name,
                  f"{row.values[name]:.4f}", f"{row.deltas[name]:.4f}"]
             )
     return buf.getvalue()

@@ -4,8 +4,8 @@ The references are built from integers and Fractions only: tail sums are
 big-integer binomial sums, probabilities are exact rationals, and logs are
 taken of (big) integers, which math.log handles at full precision. They
 share no code with the package's log-space engine. The helpers at the end
-(log_sum_exp, the per-draw quantities, embed_cell_counts and the counts
-writers) are not references.
+(log_sum_exp, the per-draw quantities, embed_cell_counts, focal_stats and
+the counts writers) are not references.
 """
 
 import csv
@@ -13,10 +13,9 @@ from fractions import Fraction
 from math import comb, exp, inf, log, log1p
 from pathlib import Path
 
-from termfisher.corpus import COUNTS_CSV_HEADER, CellStats, TermDocumentMatrix
+from termfisher.corpus import COUNTS_CSV_HEADER, CellStats, TermDocumentMatrix, ingest_counts
 from termfisher.errors import InvalidProbabilityError, InvalidSyntheticSpecError
 from termfisher.numerics import chvatal_log_bound, log_binom_pmf
-from termfisher.verify import CellParams
 
 
 def support(K: int, s: int, N: int) -> tuple[int, int]:
@@ -100,21 +99,18 @@ def w_hypergeom_bound(stats: CellStats) -> float:
     return chvatal_log_bound(stats) / stats.n_j
 
 
-def embed_cell_counts(params: CellParams) -> list[tuple[str, str, int]]:
+def embed_cell_counts(cell: CellStats) -> list[tuple[str, str, int]]:
     """Count rows for a d-document collection realizing the given cell exactly.
 
     The focal cell (term "focal") lands in document "doc00000"; the remaining
     occupancy is padded with the term "filler" so that all of
-    (n, n_i, n_j, n_ij, b_i, d) hold.
+    (n_ij, n_i, n_j, n, b_i, d) hold. CellStats itself bounds n_ij by
+    min(n_i, n_j) and b_i by [1, d]; what else a collection needs is checked here.
     """
     focal_term, filler_term = "focal", "filler"
-    n, n_i, b_i, n_j, n_ij, d = params
+    n_ij, n_i, n_j, n, b_i, d = cell.n_ij, cell.n_i, cell.n_j, cell.n, cell.b_i, cell.d
     if n_ij < 1:
         raise InvalidSyntheticSpecError("focal cell needs n_ij >= 1")
-    if n_ij > min(n_i, n_j):
-        raise InvalidSyntheticSpecError("n_ij cannot exceed min(n_i, n_j)")
-    if not 1 <= b_i <= d:
-        raise InvalidSyntheticSpecError("need 1 <= b_i <= d")
     if b_i == 1:
         if n_i != n_ij:
             raise InvalidSyntheticSpecError("b_i = 1 requires n_i = n_ij")
@@ -159,6 +155,13 @@ def embed_cell_counts(params: CellParams) -> list[tuple[str, str, int]]:
         if not mentioned:
             rows.append((filler_term, doc_id(j), 0))  # register the empty document
     return rows
+
+
+def focal_stats(cell: CellStats) -> CellStats:
+    """The focal cell's statistics, read back from the matrix that
+    ingest_counts builds of embed_cell_counts(cell)."""
+    matrix = ingest_counts(embed_cell_counts(cell))
+    return matrix.cell_stats(matrix.vocab.index("focal"), matrix.docs.index("doc00000"))
 
 
 def export_counts(matrix: TermDocumentMatrix) -> list[tuple[str, str, int]]:

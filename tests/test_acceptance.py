@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb, exp, log
 from pathlib import Path
 
-from exact_refs import neg_log_tail, tail_fraction
+from exact_refs import focal_stats, neg_log_tail, tail_fraction
 from termfisher.corpus import CellStats
 from termfisher.numerics import (
     NEG_INFINITY,
@@ -25,7 +25,6 @@ from termfisher.verify import (
     FORMULAS,
     TYPICAL_SETTINGS,
     VALIDATION_SETTINGS,
-    SyntheticSpec,
     binomial_decay_check,
     cor2_convergence,
     default_quotient_grid,
@@ -186,18 +185,19 @@ def test_c06_exclusive_collection_convergence():
 
 
 def test_c07_uniform_collection_bridge_consistency():
-    specs = [
-        SyntheticSpec(R=25, r=10, b_i=10, d=40),    # the small reference setting
-        SyntheticSpec(R=100, r=25, b_i=8, d=100),   # the large reference setting
-        SyntheticSpec(R=50, r=5, b_i=6, d=30),
-        SyntheticSpec(R=40, r=8, b_i=4, d=50),
-        SyntheticSpec(R=30, r=3, b_i=12, d=60),
-        SyntheticSpec(R=60, r=6, b_i=20, d=100),
+    # (R, r, b_i, d): d documents of R terms, r of them the focal term in each of b_i documents
+    collections = [
+        (25, 10, 10, 40),    # the small reference setting
+        (100, 25, 8, 100),   # the large reference setting
+        (50, 5, 6, 30),
+        (40, 8, 4, 50),
+        (30, 3, 12, 60),
+        (60, 6, 20, 100),
     ]
     worst = 0.0
     printed = []
-    for spec in specs:
-        stats = spec.focal_stats(spec.build_matrix())
+    for R, r, b_i, d in collections:
+        stats = focal_stats(CellStats(n_ij=r, n_i=r * b_i, n_j=R, n=R * d, b_i=b_i, d=d))
         thm1 = tficf(stats) + phi(stats, q_ij(stats))
         cor1 = tfidf(stats) + psi(stats, q_ij(stats))
         worst = max(worst, abs(thm1 - cor1))

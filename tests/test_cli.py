@@ -694,11 +694,23 @@ class TestSweep:
         assert err.endswith(": too large for float arithmetic\n")
 
     def test_a_document_count_too_large_for_a_float_is_invalid_input(self, capsys):
-        # beta * d overflows only past the float range; a smaller d builds its collection
+        # beta * d overflows only past the float range; a smaller d is one cell
         code, out, err = run_cli("sweep", "--cor2-d", str(10**400), capsys=capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: InvalidSyntheticSpecError: R = 20, d = 1")
         assert err.endswith(": too large for float arithmetic\n")
+
+    def test_a_billion_documents_is_one_cell_not_a_collection(self, capsys):
+        code, out, err = run_cli("sweep", "--cor2-d", "1000000000,2000000000", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert "d=1000000000 b_i=200000000 error=" in out
+
+    @pytest.mark.parametrize("R", ["0", "-3"])
+    def test_a_document_length_below_one_is_invalid_input(self, R, capsys):
+        code, out, err = run_cli("sweep", "--cor2-R", R, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: InvalidSyntheticSpecError: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--cor2-d", "--decay-N"])
     def test_a_list_flag_that_is_not_integers_is_invalid_input(self, flag, capsys):
@@ -762,6 +774,22 @@ class TestOutputFile:
         code, _, err = run_cli(*argv, capsys=capsys)
         assert code == 2
         assert f"{bad}:3" in err
+        assert target.read_bytes() == b"earlier\toutput\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("weigh", "--schemes", "fisher"), ("rank", "--top-k", "2")], ids=["weigh", "rank"]
+    )
+    def test_counts_past_the_float_range_are_invalid_input(self, argv, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text(f"term,doc,count\na,d1,{2**512}\nb,d1,1\na,d2,1\n", encoding="utf-8")
+        argv = [*argv, "--input", str(big), "--format", "counts"]
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {big}: counts too large for float arithmetic\n"
+        target = tmp_path / "out.tsv"
+        target.write_bytes(b"earlier\toutput\n")
+        code, out, _ = run_cli(*argv, "--output", str(target), capsys=capsys)
+        assert (code, out) == (2, "")
         assert target.read_bytes() == b"earlier\toutput\n"
 
 

@@ -51,14 +51,14 @@ class TestIngestText:
     def test_single_document_counts(self):
         matrix = ingest_text([("d1", "a b a")])
         assert matrix.m == 2
-        assert matrix.columns[0].get(matrix.term_index("a"), 0) == 2
-        assert matrix.columns[0].get(matrix.term_index("b"), 0) == 1
+        assert matrix.columns[0].get(matrix.vocab.index("a"), 0) == 2
+        assert matrix.columns[0].get(matrix.vocab.index("b"), 0) == 1
         assert matrix.grand_total == 3
         assert matrix.d == 1
 
     def test_document_frequency(self):
         matrix = ingest_text([("d1", "x"), ("d2", "x")])
-        i = matrix.term_index("x")
+        i = matrix.vocab.index("x")
         assert matrix.doc_freq[i] == 2
         assert matrix.row_totals[i] == 2
         assert matrix.d == 2
@@ -101,11 +101,9 @@ class TestIngestCounts:
 
     def test_reference_cell_embedding(self):
         # totals n=1000, n_i=150, n_j=100, n_ij=25, b_i=4, d=20 padded with filler
-        from termfisher.verify import CellParams
-
-        rows = embed_cell_counts(CellParams(n=1000, n_i=150, b_i=4, n_j=100, n_ij=25, d=20))
+        rows = embed_cell_counts(CellStats(n_ij=25, n_i=150, n_j=100, n=1000, b_i=4, d=20))
         matrix = ingest_counts(rows)
-        stats = matrix.cell_stats(matrix.term_index("focal"), matrix.doc_index("doc00000"))
+        stats = matrix.cell_stats(matrix.vocab.index("focal"), matrix.docs.index("doc00000"))
         assert (stats.n, stats.n_i, stats.n_j, stats.n_ij) == (1000, 150, 100, 25)
         assert (stats.b_i, stats.d) == (4, 20)
 
@@ -294,7 +292,6 @@ class TestMatrixInvariants:
         # inserted out of term order, with a zero stored at (1, 0)
         columns = [{2: 3, 1: 0, 0: 2}, {2: 4, 0: 1, 1: 5}]
         matrix = TermDocumentMatrix(("a", "b", "c"), ("d1", "d2"), columns)
-        assert list(matrix.nonzero_cells()) == [(0, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
         assert [list(column.items()) for column in matrix.columns] == [
             [(0, 2), (2, 3)],
             [(0, 1), (1, 5), (2, 4)],

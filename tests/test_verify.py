@@ -1,4 +1,4 @@
-"""Tests for the validation harness: tables, sweeps, synthetic collections."""
+"""Tests for the validation harness: tables, sweeps, convergence checks."""
 
 import csv
 import io
@@ -13,6 +13,7 @@ import termfisher.weights
 from exact_refs import (
     binom_pmf_fraction,
     embed_cell_counts,
+    focal_stats,
     neg_log_tail,
     pmf_fraction,
     w_binomial,
@@ -27,9 +28,7 @@ from termfisher.errors import (
 from termfisher.numerics import chvatal_log_bound
 from termfisher.verify import (
     FORMULAS,
-    CellParams,
     QuotientPoint,
-    SyntheticSpec,
     TYPICAL_SETTINGS,
     VALIDATION_SETTINGS,
     binomial_decay_check,
@@ -67,10 +66,10 @@ class TestReferenceTables:
     def test_frozen_references_rederived_from_exact_arithmetic(self):
         # the frozen numbers themselves, re-derived with integer enumeration
         for setting in VALIDATION_SETTINGS + TYPICAL_SETTINGS:
-            n, n_i, b_i, n_j, n_ij, d = setting.params
-            exact_neg_log = neg_log_tail(n_ij, n_i, n_j, n)
+            cell = setting.params
+            exact_neg_log = neg_log_tail(cell.n_ij, cell.n_i, cell.n_j, cell.n)
             assert abs(exact_neg_log - setting.expected["neg_log_p"]) < 5e-5
-            exact_tfidf = n_ij * (log(d) - log(b_i))
+            exact_tfidf = cell.n_ij * (log(cell.d) - log(cell.b_i))
             assert abs(exact_tfidf - setting.expected["tfidf"]) < 5e-5
             delta = abs(exact_neg_log - exact_tfidf) / abs(exact_tfidf) * 100.0
             assert abs(delta - setting.expected_delta["tfidf"]) < 5e-5
@@ -212,92 +211,32 @@ class TestQuotientSweep:
         assert report.failures[0].note
 
 
-class TestSyntheticSpec:
-    def test_generated_collection_satisfies_structure(self):
-        spec = SyntheticSpec(R=25, r=10, b_i=10, d=40)
-        matrix = spec.build_matrix()
-        assert matrix.col_totals == tuple([25] * 40)
-        assert matrix.grand_total == 25 * 40
-        stats = spec.focal_stats(matrix)
-        assert (stats.n_ij, stats.n_i, stats.b_i, stats.d) == (10, 100, 10, 40)
-
-    def test_exclusive_collection(self):
-        spec = SyntheticSpec(R=20, r=20, b_i=8, d=50)
-        stats = spec.focal_stats(spec.build_matrix())
-        assert (stats.n_ij, stats.n_j) == (20, 20)
-        assert stats.n_i == 160 and stats.n == 1000
-
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(InvalidSyntheticSpecError):
-            SyntheticSpec(R=10, r=0, b_i=2, d=5)
-        with pytest.raises(InvalidSyntheticSpecError):
-            SyntheticSpec(R=10, r=11, b_i=2, d=5)
-        with pytest.raises(InvalidSyntheticSpecError):
-            SyntheticSpec(R=10, r=5, b_i=6, d=5)
-
-    @given(st.tuples(*[st.integers(-1, 6)] * 4))
-    @settings(max_examples=300, deadline=None)
-    def test_every_construction_path_checks_the_invariants(self, values):
-        R, r, b_i, d = values
-        # the checks __post_init__ made while SyntheticSpec was a frozen dataclass
-        rejected = not 0 < r <= R or not 1 <= b_i <= d
-        fields = dict(R=R, r=r, b_i=b_i, d=d)
-        base = SyntheticSpec(R=1, r=1, b_i=1, d=1)
-        builds = [
-            lambda: SyntheticSpec(*values),
-            lambda: SyntheticSpec(**fields),
-            lambda: SyntheticSpec._make(values),
-            lambda: base._replace(**fields),
-        ]
-        for build in builds:
-            if rejected:
-                with pytest.raises(InvalidSyntheticSpecError):
-                    build()
-            else:
-                spec = build()
-                assert type(spec) is SyntheticSpec
-                assert spec == values
-
-    def test_fields_cannot_be_assigned(self):
-        spec = SyntheticSpec(R=10, r=5, b_i=2, d=5)
-        for name in SyntheticSpec._fields:
-            with pytest.raises(AttributeError):
-                setattr(spec, name, 1)
-        with pytest.raises(AttributeError):
-            spec.extra = 1
-
-
 class TestEmbedCellCounts:
     def test_all_reference_settings_embed_exactly(self):
         for setting in VALIDATION_SETTINGS + TYPICAL_SETTINGS:
-            matrix = ingest_counts(embed_cell_counts(setting.params))
-            stats = matrix.cell_stats(matrix.term_index("focal"), matrix.doc_index("doc00000"))
-            n, n_i, b_i, n_j, n_ij, d = setting.params
-            assert (stats.n, stats.n_i, stats.b_i) == (n, n_i, b_i)
-            assert (stats.n_j, stats.n_ij, stats.d) == (n_j, n_ij, d)
+            stats, cell = focal_stats(setting.params), setting.params
+            assert (stats.n, stats.n_i, stats.b_i) == (cell.n, cell.n_i, cell.b_i)
+            assert (stats.n_j, stats.n_ij, stats.d) == (cell.n_j, cell.n_ij, cell.d)
 
     def test_matrix_weights_agree_with_standalone_stats(self):
-        params = CellParams(n=1000, n_i=150, b_i=4, n_j=100, n_ij=25, d=20)
-        matrix = ingest_counts(embed_cell_counts(params))
-        stats = matrix.cell_stats(matrix.term_index("focal"), matrix.doc_index("doc00000"))
+        stats = focal_stats(CellStats(n_ij=25, n_i=150, n_j=100, n=1000, b_i=4, d=20))
         assert abs(fisher_weight(stats) - 5.5429) < 5e-5
         assert abs(tfidf(stats) - 40.2359) < 5e-5
 
     def test_impossible_embeddings_rejected(self):
+        with pytest.raises(ValueError, match=r"b_i must lie in \[1, d\]"):
+            CellStats(n_ij=8, n_i=10, n_j=20, n=100, b_i=5, d=4)  # b_i > d: no cell to embed
         with pytest.raises(InvalidSyntheticSpecError):
-            embed_cell_counts(CellParams(n=100, n_i=10, b_i=5, n_j=20, n_ij=8, d=4))  # b_i > d... caught
+            embed_cell_counts(CellStats(n_ij=5, n_i=10, n_j=20, n=100, b_i=8, d=10))  # 5 left for 7 docs
         with pytest.raises(InvalidSyntheticSpecError):
-            embed_cell_counts(CellParams(n=100, n_i=10, b_i=8, n_j=20, n_ij=5, d=10))  # 5 left for 7 docs
-        with pytest.raises(InvalidSyntheticSpecError):
-            embed_cell_counts(CellParams(n=10, n_i=9, b_i=2, n_j=8, n_ij=2, d=3))  # n too small
+            embed_cell_counts(CellStats(n_ij=2, n_i=9, n_j=8, n=10, b_i=2, d=3))  # n too small
 
 
 class TestConvergence:
     def test_exclusive_collection_identity(self):
         # -log p on the exclusive collection reduces to a two-coefficient form
         R, b, d = 20, 10, 50
-        spec = SyntheticSpec(R=R, r=R, b_i=b, d=d)
-        stats = spec.focal_stats(spec.build_matrix())
+        stats = focal_stats(CellStats(n_ij=R, n_i=R * b, n_j=R, n=R * d, b_i=b, d=d))
         identity = log(comb(R * d, R)) - log(comb(R * b, R))
         assert isclose(fisher_weight(stats), identity, rel_tol=1e-11)
 
@@ -332,6 +271,26 @@ class TestConvergence:
     def test_non_integral_b_rejected(self):
         with pytest.raises(InvalidSyntheticSpecError):
             cor2_convergence(20, 0.2, (111,))
+
+    @pytest.mark.parametrize("R", [0, -3])
+    def test_document_length_below_one_rejected(self, R):
+        with pytest.raises(InvalidSyntheticSpecError, match=f"R = {R} "):
+            cor2_convergence(R, 0.2, (100, 200))
+
+    @given(st.integers(1, 40), st.integers(1, 64), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_error_is_the_gap_at_the_embedded_focal_cell(self, R, d, data):
+        b = data.draw(st.integers(1, d))
+        (point,) = cor2_convergence(R, b / d, (d,)).points
+        stats = focal_stats(CellStats(n_ij=R, n_i=R * b, n_j=R, n=R * d, b_i=b, d=d))
+        assert point.b_i == b
+        assert point.error == abs(fisher_weight(stats) - tfidf(stats))
+
+    def test_a_billion_documents_pass_without_a_collection(self):
+        # each d is one cell, evaluated from its integers, not a d-document collection
+        report = cor2_convergence(20, 0.2, (10**9, 2 * 10**9))
+        assert report.passed
+        assert [p.b_i for p in report.points] == [2 * 10**8, 4 * 10**8]
 
 
 class TestBinomialDecay:
@@ -370,21 +329,15 @@ class TestBinomialDecay:
 
 class TestUniformCollectionConsistency:
     def test_bridges_coincide_on_uniform_collections(self):
-        specs = [
-            SyntheticSpec(R=25, r=10, b_i=10, d=40),
-            SyntheticSpec(R=100, r=25, b_i=8, d=100),
-            SyntheticSpec(R=50, r=5, b_i=6, d=30),
-            SyntheticSpec(R=40, r=8, b_i=4, d=50),
-        ]
-        for spec in specs:
-            stats = spec.focal_stats(spec.build_matrix())
+        # d documents of R terms, r of them the focal term in each of b_i documents
+        for R, r, b_i, d in [(25, 10, 10, 40), (100, 25, 8, 100), (50, 5, 6, 30), (40, 8, 4, 50)]:
+            stats = focal_stats(CellStats(n_ij=r, n_i=r * b_i, n_j=R, n=R * d, b_i=b_i, d=d))
             thm1 = tficf(stats) + phi(stats, q_ij(stats))
             cor1 = tfidf(stats) + psi(stats, q_ij(stats))
             assert abs(thm1 - cor1) < 1e-9
 
     def test_exclusive_collection_zeroes_the_corrections(self):
-        spec = SyntheticSpec(R=20, r=20, b_i=8, d=50)
-        stats = spec.focal_stats(spec.build_matrix())
+        stats = focal_stats(CellStats(n_ij=20, n_i=160, n_j=20, n=1000, b_i=8, d=50))
         assert q_ij(stats) == 0.0
         assert phi(stats, q_ij(stats)) == 0.0
         assert psi(stats, q_ij(stats)) == 0.0

@@ -171,9 +171,7 @@ class TestWeighMatrix:
         assert record.notes
 
     def test_reference_cell_through_matrix(self):
-        from termfisher.verify import CellParams
-
-        rows = embed_cell_counts(CellParams(n=10000, n_i=125, b_i=12, n_j=75, n_ij=7, d=175))
+        rows = embed_cell_counts(CellStats(n_ij=7, n_i=125, n_j=75, n=10000, b_i=12, d=175))
         matrix = ingest_counts(rows)
         records = {
             (r.term, r.doc): r for r in weigh_matrix(matrix)
@@ -291,7 +289,7 @@ def assert_matches_cell_by_cell(matrix, include_zeros, schemes=None):
     if include_zeros:
         cells = [(i, j) for j in range(matrix.d) for i in range(matrix.m)]
     else:
-        cells = list(matrix.nonzero_cells())
+        cells = [(i, j) for j, column in enumerate(matrix.columns) for i in column]
     expected = [
         reference_record(matrix, i, j) for i, j in cells if matrix.col_totals[j] > 0
     ]
@@ -387,7 +385,7 @@ class TestWeighMatrixMemo:
         # documents of lengths 2, 3 and 2: tfidf and tficf do not read n_j
         matrix = ingest_text([("d1", "a b"), ("d2", "a b c"), ("d3", "c c")])
         records = weigh_matrix(matrix, {"tfidf", "tficf"})
-        stats = [cell_stats(matrix, i, j) for i, j in matrix.nonzero_cells()]
+        stats = [cell_stats(matrix, i, j) for j, column in enumerate(matrix.columns) for i in column]
         assert len(calls) == len({(s.n_ij, s.n_i, s.b_i) for s in stats}) == 3
         assert len({(s.n_ij, s.n_i, s.n_j, s.b_i) for s in stats}) == 4
         assert len(records) == 6
@@ -437,9 +435,10 @@ class TestWeighMatrixMemo:
         )
         records = weigh_matrix(matrix)
         keys = set()
-        for i, j in matrix.nonzero_cells():
-            stats = matrix.cell_stats(i, j)
-            keys.add((stats.n_ij, stats.n_i, stats.n_j, stats.b_i))
+        for j, column in enumerate(matrix.columns):
+            for i in column:
+                stats = matrix.cell_stats(i, j)
+                keys.add((stats.n_ij, stats.n_i, stats.n_j, stats.b_i))
         assert len(calls) == len(keys) < len(records)
 
     def test_each_call_weighs_its_own_collection(self):
@@ -532,7 +531,7 @@ class TestWeightInvariants:
         rows = [("dense", "d0", 50)]
         rows += [("filler", f"d{j}", 15) for j in range(10)]
         matrix = ingest_counts(rows)
-        stats = matrix.cell_stats(matrix.term_index("dense"), matrix.doc_index("d0"))
+        stats = matrix.cell_stats(matrix.vocab.index("dense"), matrix.docs.index("d0"))
         assert idf(stats) > icf(stats)
 
     def test_quotient_band_inside_regime(self):
