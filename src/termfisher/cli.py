@@ -182,7 +182,7 @@ def _read_grid_file(path: str) -> list[QuotientPoint]:
 
 def _parse_int_list(raw: str, flag: str) -> list[int]:
     try:
-        return [int(part) for part in raw.split(",") if part.strip()]
+        return [ascii_int(part.strip()) for part in raw.split(",") if part.strip()]
     except ValueError:
         raise _ValidationFailure(f"{flag} expects a comma-separated integer list") from None
 
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", help="top-k terms per document under one scheme")
     add_input_flags(rank)
     rank.add_argument("--scheme", default="fisher", choices=RANK_SCHEMES)
-    rank.add_argument("--top-k", type=int, required=True, dest="top_k")
+    rank.add_argument("--top-k", type=ascii_int, required=True, dest="top_k")
     rank.set_defaults(func=cmd_rank)
 
     table = sub.add_parser(
@@ -258,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--grid-file", help="CSV (n,n_i,n_j,n_ij) of quotient grid points to evaluate"
     )
-    sweep.add_argument("--cor2-R", type=int, default=20, dest="cor2_R")
+    sweep.add_argument("--cor2-R", type=ascii_int, default=20, dest="cor2_R")
     sweep.add_argument("--cor2-beta", type=float, default=0.2, dest="cor2_beta")
     sweep.add_argument("--cor2-d", default="100,200,400,800", dest="cor2_d")
     sweep.add_argument("--decay-p", type=float, default=0.1, dest="decay_p")
-    sweep.add_argument("--decay-k", type=int, default=5, dest="decay_k")
-    sweep.add_argument("--decay-s", type=int, default=20, dest="decay_s")
+    sweep.add_argument("--decay-k", type=ascii_int, default=5, dest="decay_k")
+    sweep.add_argument("--decay-s", type=ascii_int, default=20, dest="decay_s")
     sweep.add_argument("--decay-N", default="200,400,800,1600", dest="decay_N")
     sweep.add_argument(
         "--format", dest="sweep_format", default="text", choices=("text", "csv")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from itertools import groupby
-from math import exp, log
+from math import exp
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import CellStats
@@ -140,37 +140,23 @@ def evaluate_setting(setting: TableSetting) -> TableRow:
     )
 
 
-class TableMismatch(NamedTuple):
-    block: str
-    label: str
-    field: str
-    computed: float
-    expected: float
-
-    def __str__(self) -> str:
-        return (
-            f"{self.block}/{self.label} {self.field}: "
-            f"computed {self.computed:.4f}, expected {self.expected:.4f}"
-        )
-
-
-def check_reference_tables() -> tuple[list[TableRow], list[TableMismatch]]:
+def check_reference_tables() -> tuple[list[TableRow], list[str]]:
     """Recompute every setting, validation then typical, and compare every value
-    against its reference."""
+    and |delta %| against its reference. Each mismatch is the line that names
+    it, e.g. "small/general tfidf: computed 40.2359, expected 41.2359"."""
     rows, mismatches = [], []
     for setting in VALIDATION_SETTINGS + TYPICAL_SETTINGS:
         rows.append(row := evaluate_setting(setting))
         for name in FORMULAS:
-            if abs(row.values[name] - setting.expected[name]) > TABLE_TOLERANCE:
-                mismatches.append(
-                    TableMismatch(setting.block, setting.label, name, row.values[name], setting.expected[name])
-                )
-            if abs(row.deltas[name] - setting.expected_delta[name]) > TABLE_TOLERANCE:
-                mismatches.append(
-                    TableMismatch(
-                        setting.block, setting.label, f"delta:{name}", row.deltas[name], setting.expected_delta[name]
+            for field, computed, expected in (
+                (name, row.values[name], setting.expected[name]),
+                (f"delta:{name}", row.deltas[name], setting.expected_delta[name]),
+            ):
+                if abs(computed - expected) > TABLE_TOLERANCE:
+                    mismatches.append(
+                        f"{setting.block}/{setting.label} {field}: "
+                        f"computed {computed:.4f}, expected {expected:.4f}"
                     )
-                )
     return rows, mismatches
 
 
@@ -227,7 +213,6 @@ def default_quotient_grid() -> list[QuotientPoint]:
 class QuotientResult(NamedTuple):
     point: QuotientPoint
     q: float | None
-    d_ij: float | None  # -ln(q)/n_j when q > 0
     ok: bool
     note: str = ""
 
@@ -236,27 +221,11 @@ class QuotientSweepReport(NamedTuple):
     results: tuple[QuotientResult, ...]
 
     @property
-    def failures(self) -> tuple[QuotientResult, ...]:
-        return tuple(r for r in self.results if not r.ok)
-
-    @property
     def reasons(self) -> tuple[str, ...]:
         """Why the sweep failed: no point, or each point outside the band."""
         if not self.results:
             return ("quotient sweep checked no point",)
-        return tuple(f"quotient at {r.point}: q={r.q} {r.note}" for r in self.failures)
-
-    @property
-    def passed(self) -> bool:
-        return not self.reasons
-
-    @property
-    def q_min(self) -> float:
-        return min((r.q for r in self.results if r.q is not None), default=float("nan"))
-
-    @property
-    def q_max(self) -> float:
-        return max((r.q for r in self.results if r.q is not None), default=float("nan"))
+        return tuple(f"quotient at {r.point}: q={r.q} {r.note}" for r in self.results if not r.ok)
 
 
 def lemma1_sweep(grid: Iterable[QuotientPoint] | None = None) -> QuotientSweepReport:
@@ -276,13 +245,10 @@ def lemma1_sweep(grid: Iterable[QuotientPoint] | None = None) -> QuotientSweepRe
             )
             q = q_ij(stats)
         except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError, OverflowError
-            results.append(QuotientResult(point, None, None, False, str(exc)))
+            results.append(QuotientResult(point, None, False, str(exc)))
             continue
-        d_ij = -log(q) / n_j if q > 0.0 else None
         ok = 0.0 < q < 1.0
-        results.append(
-            QuotientResult(point, q, d_ij, ok, "" if ok else "q outside (0, 1)")
-        )
+        results.append(QuotientResult(point, q, ok, "" if ok else "q outside (0, 1)"))
     return QuotientSweepReport(results=tuple(results))
 
 
@@ -299,6 +265,23 @@ def _too_large(**counts: int) -> InvalidSyntheticSpecError:
     return InvalidSyntheticSpecError(f"{named}: too large for float arithmetic")
 
 
+def _halving_ratios(
+    pairs: Sequence[tuple[int, float]], band: tuple[float, float], min_size: int
+) -> list[tuple[float | None, bool | None]]:
+    """(ratio, ratio_ok) for each (size, value) pair. Where the size is twice
+    that of the pair before, itself at least min_size, the ratio is the value
+    before over this one (inf over 0) and ratio_ok holds it against band;
+    elsewhere both are None."""
+    walked: list[tuple[float | None, bool | None]] = []
+    for before, (size, value) in zip([None, *pairs], pairs):
+        if before is None or before[0] * 2 != size or before[0] < min_size:
+            walked.append((None, None))
+        else:
+            ratio = before[1] / value if value > 0.0 else float("inf")
+            walked.append((ratio, band[0] <= ratio <= band[1]))
+    return walked
+
+
 class ConvergencePoint(NamedTuple):
     d: int
     b_i: int
@@ -313,23 +296,16 @@ class ConvergenceReport(NamedTuple):
     points: tuple[ConvergencePoint, ...]
 
     @property
-    def decreasing(self) -> bool:
-        errors = [p.error for p in self.points]
-        return all(a > b for a, b in zip(errors, errors[1:]))
-
-    @property
     def reasons(self) -> tuple[str, ...]:
         """Why the check failed: no ratio checked, or the errors rise or a
         ratio falls outside the band."""
         if all(p.ratio_ok is None for p in self.points):
             return ("convergence checked no doubling pair",)
-        if not self.decreasing or any(p.ratio_ok is False for p in self.points):
+        errors = [p.error for p in self.points]
+        falling = all(a > b for a, b in zip(errors, errors[1:]))
+        if not falling or any(p.ratio_ok is False for p in self.points):
             return ("convergence errors not halving as required",)
         return ()
-
-    @property
-    def passed(self) -> bool:
-        return not self.reasons
 
 
 def cor2_convergence(R: int, beta: float, doublings: Sequence[int]) -> ConvergenceReport:
@@ -349,8 +325,7 @@ def cor2_convergence(R: int, beta: float, doublings: Sequence[int]) -> Convergen
         raise InvalidSyntheticSpecError(f"beta = {beta} is not in (0, 1]")
     if R < 1:
         raise InvalidSyntheticSpecError(f"R = {R} is not a positive document length")
-    points: list[ConvergencePoint] = []
-    prev: tuple[int, float] | None = None
+    cells: list[tuple[int, int, float]] = []  # (d, b_i, error)
     for d in doublings:
         try:
             b_float = beta * d
@@ -358,16 +333,12 @@ def cor2_convergence(R: int, beta: float, doublings: Sequence[int]) -> Convergen
             if abs(b_float - b) > 1e-9 or not 1 <= b <= d:
                 raise InvalidSyntheticSpecError(f"beta * d = {b_float} is not a valid document count")
             stats = CellStats(n_ij=R, n_i=R * b, n_j=R, n=R * d, b_i=b, d=d)
-            error = abs(fisher_weight(stats) - tfidf(stats))
+            cells.append((d, b, abs(fisher_weight(stats) - tfidf(stats))))
         except OverflowError:
             raise _too_large(R=R, d=d) from None
-        ratio = ratio_ok = None
-        if prev is not None and prev[0] * 2 == d and prev[0] >= COR2_MIN_D:
-            ratio = prev[1] / error if error > 0.0 else float("inf")
-            ratio_ok = COR2_BAND[0] <= ratio <= COR2_BAND[1]
-        points.append(ConvergencePoint(d=d, b_i=b, error=error, ratio=ratio, ratio_ok=ratio_ok))
-        prev = (d, error)
-    return ConvergenceReport(R=R, beta=beta, points=tuple(points))
+    ratios = _halving_ratios([(d, error) for d, _, error in cells], COR2_BAND, COR2_MIN_D)
+    points = tuple(ConvergencePoint(*cell, *ratio) for cell, ratio in zip(cells, ratios))
+    return ConvergenceReport(R=R, beta=beta, points=points)
 
 
 class DecayPoint(NamedTuple):
@@ -393,10 +364,6 @@ class DecayReport(NamedTuple):
             return ("pmf gap not halving as required",)
         return ()
 
-    @property
-    def passed(self) -> bool:
-        return not self.reasons
-
 
 def binomial_decay_check(p_i: float, k: int, s: int, Ns: Sequence[int]) -> DecayReport:
     """Gap between hypergeometric and binomial masses as the population grows.
@@ -410,8 +377,7 @@ def binomial_decay_check(p_i: float, k: int, s: int, Ns: Sequence[int]) -> Decay
         binom = 0.0 if k > s else exp(log_binom_pmf(k, s, p_i))
     except OverflowError:
         raise _too_large(s=s) from None
-    points: list[DecayPoint] = []
-    prev: tuple[int, float] | None = None
+    cells: list[tuple[int, int, float]] = []  # (N, K, gap)
     for N in Ns:
         try:
             K_float = p_i * N
@@ -424,14 +390,10 @@ def binomial_decay_check(p_i: float, k: int, s: int, Ns: Sequence[int]) -> Decay
                 hyper = exp(log_hypergeom_pmf(HypergeomParams(k=k, K=K, s=min(s, N), N=N)))
         except OverflowError:
             raise _too_large(N=N, s=s) from None
-        gap = abs(hyper - binom)
-        ratio = ratio_ok = None
-        if prev is not None and prev[0] * 2 == N:
-            ratio = prev[1] / gap if gap > 0.0 else float("inf")
-            ratio_ok = DECAY_BAND[0] <= ratio <= DECAY_BAND[1]
-        points.append(DecayPoint(N=N, K=K, gap=gap, ratio=ratio, ratio_ok=ratio_ok))
-        prev = (N, gap)
-    return DecayReport(p=p_i, k=k, s=s, points=tuple(points))
+        cells.append((N, K, abs(hyper - binom)))
+    ratios = _halving_ratios([(N, gap) for N, _, gap in cells], DECAY_BAND, 0)
+    points = tuple(DecayPoint(*cell, *ratio) for cell, ratio in zip(cells, ratios))
+    return DecayReport(p=p_i, k=k, s=s, points=points)
 
 
 # -- rendering ----------------------------------------------------------------
@@ -493,36 +455,27 @@ def render_tables_csv(rows: Sequence[TableRow]) -> str:
     return buf.getvalue()
 
 
+def _ratio_text(point: ConvergencePoint | DecayPoint) -> str:
+    if point.ratio is None:
+        return "ratio=n/a"
+    return f"ratio={point.ratio:.4f}" + ("" if point.ratio_ok else "  <- outside band")
+
+
 def render_sweep_text(
     quotient: QuotientSweepReport, convergence: ConvergenceReport, decay: DecayReport
 ) -> str:
-    lines = []
-    status = "PASS" if quotient.passed else "FAIL"
-    lines.append(
-        f"quotient sweep: {len(quotient.results)} points, "
-        f"q in [{quotient.q_min:.3e}, {quotient.q_max:.6f}] -> {status}"
-    )
-    for failure in quotient.failures:
-        lines.append(f"  FAIL {failure.point}: q={failure.q} {failure.note}")
-    lines.append("")
-    lines.append(
-        f"exclusive-collection convergence: R={convergence.R} beta={convergence.beta}"
-    )
-    for point in convergence.points:
-        ratio = "n/a" if point.ratio is None else f"{point.ratio:.4f}"
-        flag = "" if point.ratio_ok in (None, True) else "  <- outside band"
-        lines.append(f"  d={point.d:<6d} b_i={point.b_i:<5d} error={point.error:.8f} ratio={ratio}{flag}")
-    lines.append(f"  halving band {COR2_BAND} -> {'PASS' if convergence.passed else 'FAIL'}")
-    lines.append("")
+    verdicts = ["FAIL" if report.reasons else "PASS" for report in (quotient, convergence, decay)]
+    qs = [r.q for r in quotient.results if r.q is not None]
+    q_range = f"[{min(qs, default=float('nan')):.3e}, {max(qs, default=float('nan')):.6f}]"
+    lines = [f"quotient sweep: {len(quotient.results)} points, q in {q_range} -> {verdicts[0]}"]
+    lines += (f"  FAIL {r.point}: q={r.q} {r.note}" for r in quotient.results if not r.ok)
+    lines += ["", f"exclusive-collection convergence: R={convergence.R} beta={convergence.beta}"]
+    lines += (f"  d={p.d:<6d} b_i={p.b_i:<5d} error={p.error:.8f} {_ratio_text(p)}" for p in convergence.points)
+    lines += [f"  halving band {COR2_BAND} -> {verdicts[1]}", ""]
     lines.append(f"pmf decay: p={decay.p} k={decay.k} s={decay.s}")
-    for point in decay.points:
-        ratio = "n/a" if point.ratio is None else f"{point.ratio:.4f}"
-        flag = "" if point.ratio_ok in (None, True) else "  <- outside band"
-        lines.append(f"  N={point.N:<8d} gap={point.gap:.6e} ratio={ratio}{flag}")
-    lines.append(f"  halving band {DECAY_BAND} -> {'PASS' if decay.passed else 'FAIL'}")
-    lines.append("")
-    total = sum(1 for ok in (quotient.passed, convergence.passed, decay.passed) if ok)
-    lines.append(f"sweep summary: {total}/3 checks passed")
+    lines += (f"  N={p.N:<8d} gap={p.gap:.6e} {_ratio_text(p)}" for p in decay.points)
+    lines += [f"  halving band {DECAY_BAND} -> {verdicts[2]}", ""]
+    lines.append(f"sweep summary: {verdicts.count('PASS')}/3 checks passed")
     return "\n".join(lines) + "\n"
 
 

@@ -125,10 +125,11 @@ def _cell_record(stats: CellStats, schemes: frozenset[str], memo: dict | None = 
     values (None where not selected or NA), and a note for each that is NA.
     memo is passed on to the tail kernel."""
     n_ij = stats.n_ij
-    idf_v = idf(stats)
-    icf_v = icf(stats)
-    wants_phi = "phi" in schemes or "approximations" in schemes
-    wants_psi = "psi" in schemes or "approximations" in schemes
+    approx = "approximations" in schemes
+    idf_v = idf(stats) if approx or "idf" in schemes or "tfidf" in schemes else None
+    icf_v = icf(stats) if approx or "icf" in schemes or "tficf" in schemes else None
+    wants_phi = "phi" in schemes or approx
+    wants_psi = "psi" in schemes or approx
     neg_log_p = q_v = phi_v = psi_v = thm1_v = cor1_v = None
     notes: list[str] = []
     if "fisher" in schemes or wants_phi or wants_psi:
@@ -153,7 +154,7 @@ def _cell_record(stats: CellStats, schemes: frozenset[str], memo: dict | None = 
             notes.append("psi: requires q")
         else:
             psi_v = psi(stats, q_v)
-    if "approximations" in schemes:
+    if approx:
         if phi_v is not None:
             thm1_v = n_ij * icf_v + phi_v
         if psi_v is not None:

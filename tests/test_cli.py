@@ -548,6 +548,16 @@ class TestRank:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("top_k", ["\u0663", "1_0", " 3"])
+    def test_top_k_in_digits_other_than_ascii_is_a_usage_error(self, top_k, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rank", "--input", CORPUS, "--format", "jsonl", "--top-k", top_k])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: termfisher rank ")
+        assert "error: argument --top-k: invalid" in captured.err
+
 
 class TestTable:
     def test_default_run_passes(self, capsys):
@@ -717,6 +727,31 @@ class TestSweep:
         code, out, err = run_cli("sweep", flag, "100,2x0", capsys=capsys)
         assert (code, out) == (2, "")
         assert err == f"error: {flag} expects a comma-separated integer list\n"
+
+    @pytest.mark.parametrize(
+        "flag, raw",
+        [("--cor2-d", "1_00,\u0662\u0660\u0660"), ("--decay-N", "\u0662\u0660\u0660,400"),
+         ("--decay-N", "200,+400")],
+    )
+    def test_a_list_flag_takes_only_ascii_digits(self, flag, raw, capsys):
+        code, out, err = run_cli("sweep", flag, raw, "--format", "csv", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} expects a comma-separated integer list\n"
+
+    def test_spaces_around_list_commas_are_accepted(self, capsys):
+        code, out, err = run_cli("sweep", "--cor2-d", "100, 200,400 ,800", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert "d=800 " in out
+
+    @pytest.mark.parametrize("flag", ["--cor2-R", "--decay-k", "--decay-s"])
+    def test_a_count_flag_in_digits_other_than_ascii_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", flag, "\u0662\u0660"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: termfisher sweep ")
+        assert f"error: argument {flag}: invalid" in captured.err
 
 
 class TestGoldenReports:

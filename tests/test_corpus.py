@@ -305,6 +305,18 @@ class TestMatrixInvariants:
         columns[0][0] = 7
         assert matrix.columns[0].get(0, 0) == 1
 
+    def test_no_term_or_no_document_is_an_empty_collection(self):
+        with pytest.raises(EmptyCollectionError):
+            TermDocumentMatrix([], [], [])
+        with pytest.raises(EmptyCollectionError):
+            TermDocumentMatrix(("a",), (), [])
+
+    def test_equality_with_another_type_and_repr(self):
+        matrix = TermDocumentMatrix(("a", "b"), ("d1",), [{0: 2, 1: 1}])
+        assert (matrix == 1) is False
+        assert matrix != "matrix"
+        assert repr(matrix) == "TermDocumentMatrix(m=2, d=1, n=3)"
+
     def test_one_column_per_document(self):
         with pytest.raises(IndexOutOfRangeError):
             TermDocumentMatrix(("a",), ("d1", "d2"), [{0: 1}])
@@ -489,6 +501,11 @@ class TestFileFormats:
         path = tmp_path / "dup.csv"
         path.write_text('term,doc,count\na,d1,"1\n"\nb,d1,2\na,d1,3\n', encoding="utf-8")
         assert repeated_key_line(path) == 5
+
+    def test_repeated_key_line_is_0_without_a_repeat(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("term,doc,count\na,d1,1\nb,d1,2\na,d2,3\n", encoding="utf-8")
+        assert repeated_key_line(path) == 0
 
     def test_jsonl_reader(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

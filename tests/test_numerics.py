@@ -149,6 +149,10 @@ class TestBinomPmf:
         assert log_binom_pmf(6, 5, 0.4) == NEG_INFINITY
         assert log_binom_pmf(-1, 5, 0.4) == NEG_INFINITY
 
+    def test_negative_sample_size(self):
+        with pytest.raises(ValueError, match="negative sample size -1"):
+            log_binom_pmf(0, -1, 0.5)
+
     def test_invalid_probability(self):
         with pytest.raises(InvalidProbabilityError):
             log_binom_pmf(1, 2, 1.5)

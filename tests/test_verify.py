@@ -112,8 +112,13 @@ class TestReferenceTables:
         monkeypatch.setitem(expected, "tfidf", expected["tfidf"] + 1.0)
         _, mismatches = check_reference_tables()
         assert len(mismatches) == 1
-        assert mismatches[0].field == "tfidf"
-        assert "small/general" in str(mismatches[0])
+        assert mismatches == ["small/general tfidf: computed 40.2359, expected 41.2359"]
+
+    def test_injected_delta_perturbation_is_caught(self, monkeypatch):
+        expected_delta = TYPICAL_SETTINGS[1].expected_delta  # typical/case-2
+        monkeypatch.setitem(expected_delta, "tfidf_psi", expected_delta["tfidf_psi"] + 0.5)
+        _, mismatches = check_reference_tables()
+        assert mismatches == ["typical/case-2 delta:tfidf_psi: computed 14.7178, expected 15.2178"]
 
     def test_rendering_is_byte_stable(self):
         first = render_tables_text(check_reference_tables()[0])
@@ -189,26 +194,27 @@ class TestQuotientSweep:
 
     def test_default_sweep_passes(self):
         report = lemma1_sweep()
-        assert report.passed
+        assert not report.reasons
         assert len(report.results) >= 100
-        assert 0.0 < report.q_min <= report.q_max < 1.0
-        assert all(r.d_ij is not None and r.d_ij > 0 for r in report.results)
+        qs = [r.q for r in report.results if r.q is not None]
+        assert 0.0 < min(qs) <= max(qs) < 1.0
+        assert all(r.q is not None and 0.0 < r.q < 1.0 for r in report.results)
 
     def test_out_of_regime_point_reports_failure(self):
         report = lemma1_sweep([QuotientPoint(n=1000, n_i=500, n_j=100, n_ij=50)])
-        assert not report.passed
-        (failure,) = report.failures
+        assert report.reasons
+        (failure,) = [r for r in report.results if not r.ok]
         assert failure.q is not None and failure.q > 1.0
 
     def test_empty_grid_does_not_pass(self):
         report = lemma1_sweep([])
-        assert report.results == () and report.failures == ()
-        assert not report.passed
+        assert report.results == ()
+        assert report.reasons
 
     def test_invalid_point_reported_not_raised(self):
         report = lemma1_sweep([QuotientPoint(n=100, n_i=500, n_j=10, n_ij=5)])
-        assert not report.passed
-        assert report.failures[0].note
+        assert report.reasons
+        assert [r for r in report.results if not r.ok][0].note
 
 
 class TestEmbedCellCounts:
@@ -242,7 +248,7 @@ class TestConvergence:
 
     def test_default_convergence_passes(self):
         report = cor2_convergence(20, 0.2, (100, 200, 400, 800))
-        assert report.passed
+        assert not report.reasons
         ratios = [p.ratio for p in report.points if p.ratio is not None]
         assert len(ratios) == 3
         assert all(1.8 <= r <= 2.2 for r in ratios)
@@ -250,19 +256,20 @@ class TestConvergence:
     def test_small_d_has_no_ratio_check(self):
         report = cor2_convergence(20, 0.2, (50, 100))
         assert report.points[1].ratio is None  # 50 < COR2_MIN_D
-        assert report.decreasing
+        assert report.points[0].error > report.points[1].error
 
     def test_term_in_every_document_gives_zero_error(self):
         report = cor2_convergence(15, 1.0, (40,))
         assert report.points[0].error == 0.0
-        assert not report.passed  # one d checks no doubling pair
+        assert report.reasons  # one d checks no doubling pair
 
     @pytest.mark.parametrize("doublings", [(), (400,), (50, 100), (100, 400)])
     def test_no_checked_ratio_does_not_pass(self, doublings):
         report = cor2_convergence(20, 0.2, doublings)
         assert all(p.ratio is None for p in report.points)
-        assert report.decreasing
-        assert not report.passed
+        errors = [p.error for p in report.points]
+        assert all(a > b for a, b in zip(errors, errors[1:]))
+        assert report.reasons
 
     def test_single_document_collection(self):
         report = cor2_convergence(20, 1.0, (1,))
@@ -289,14 +296,14 @@ class TestConvergence:
     def test_a_billion_documents_pass_without_a_collection(self):
         # each d is one cell, evaluated from its integers, not a d-document collection
         report = cor2_convergence(20, 0.2, (10**9, 2 * 10**9))
-        assert report.passed
+        assert not report.reasons
         assert [p.b_i for p in report.points] == [2 * 10**8, 4 * 10**8]
 
 
 class TestBinomialDecay:
     def test_default_decay_passes(self):
         report = binomial_decay_check(0.1, 5, 20, (200, 400, 800, 1600))
-        assert report.passed
+        assert not report.reasons
         ratios = [p.ratio for p in report.points if p.ratio is not None]
         assert len(ratios) == 3
         assert all(1.6 <= r <= 2.4 for r in ratios)
@@ -320,7 +327,7 @@ class TestBinomialDecay:
     def test_no_checked_ratio_does_not_pass(self, Ns):
         report = binomial_decay_check(0.1, 5, 20, Ns)
         assert all(p.ratio is None for p in report.points)
-        assert not report.passed
+        assert report.reasons
 
     def test_non_integral_K_rejected(self):
         with pytest.raises(InvalidSyntheticSpecError):

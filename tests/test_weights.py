@@ -10,7 +10,7 @@ import termfisher.numerics
 import termfisher.weights
 from exact_refs import embed_cell_counts, log_fraction, neg_log_tail, quotient, tail_fraction
 from termfisher.corpus import CellStats, TermDocumentMatrix, ingest_counts, ingest_text
-from termfisher.errors import UndefinedPhiError, UndefinedQuotientError
+from termfisher.errors import UndefinedPhiError, UndefinedQuotientError, UndefinedWeightError
 from termfisher.numerics import HypergeomParams, log_hypergeom_tail
 from termfisher.weights import (
     SCHEMES,
@@ -50,6 +50,10 @@ class TestIdfIcf:
 
     def test_icf_zero_for_single_term_collection(self):
         assert icf(make_stats(5, 50, 10, 50, 2, 5)) == 0.0
+
+    def test_icf_undefined_for_a_term_absent_from_the_collection(self):
+        with pytest.raises(UndefinedWeightError, match="icf requires n_i >= 1"):
+            icf(make_stats(0, 0, 5, 10, 1, 2))
 
     def test_icf_reference_values(self):
         assert isclose(icf(EXCLUSIVE), log(6.25), rel_tol=1e-12)  # n=1000, n_i=160
@@ -389,6 +393,27 @@ class TestWeighMatrixMemo:
         assert len(calls) == len({(s.n_ij, s.n_i, s.b_i) for s in stats}) == 3
         assert len({(s.n_ij, s.n_i, s.n_j, s.b_i) for s in stats}) == 4
         assert len(records) == 6
+
+    def test_idf_and_icf_only_for_the_schemes_that_read_them(self, monkeypatch):
+        calls = {"idf": [], "icf": []}
+        for name in calls:
+            weight = getattr(termfisher.weights, name)
+
+            def counting(stats, weight=weight, seen=calls[name]):
+                seen.append(stats)
+                return weight(stats)
+
+            monkeypatch.setattr(termfisher.weights, name, counting)
+        matrix = ingest_text([("d1", "a b a"), ("d2", "a b c"), ("d3", "c c b")])
+        weigh_matrix(matrix, {"fisher"})
+        assert calls == {"idf": [], "icf": []}
+        records = weigh_matrix(matrix, {"tfidf"})
+        keys = {
+            (s.n_ij, s.n_i, s.b_i)
+            for s in (matrix.cell_stats(i, j) for j, column in enumerate(matrix.columns) for i in column)
+        }
+        assert len(calls["idf"]) == len(keys) < len(records)
+        assert calls["icf"] == []
 
     def test_one_log_pmf_per_kernel_call(self, monkeypatch):
         # the kernel's anchor and log_hypergeom_pmf both evaluate through _log_pmf
