@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 from . import __version__
 from .corpus import (
     TermDocumentMatrix,
+    ascii_float,
     ascii_int,
     csv_rows,
     ingest_counts,
@@ -259,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-file", help="CSV (n,n_i,n_j,n_ij) of quotient grid points to evaluate"
     )
     sweep.add_argument("--cor2-R", type=ascii_int, default=20, dest="cor2_R")
-    sweep.add_argument("--cor2-beta", type=float, default=0.2, dest="cor2_beta")
+    sweep.add_argument("--cor2-beta", type=ascii_float, default=0.2, dest="cor2_beta")
     sweep.add_argument("--cor2-d", default="100,200,400,800", dest="cor2_d")
-    sweep.add_argument("--decay-p", type=float, default=0.1, dest="decay_p")
+    sweep.add_argument("--decay-p", type=ascii_float, default=0.1, dest="decay_p")
     sweep.add_argument("--decay-k", type=ascii_int, default=5, dest="decay_k")
     sweep.add_argument("--decay-s", type=ascii_int, default=20, dest="decay_s")
     sweep.add_argument("--decay-N", default="200,400,800,1600", dest="decay_N")

@@ -354,6 +354,15 @@ def ascii_int(raw: str) -> int:
     raise ValueError(f"not an integer in ASCII digits: {raw!r}")
 
 
+def ascii_float(raw: str) -> float:
+    """float(raw) for ASCII text with no '_', no leading '+' and no surrounding
+    whitespace; ValueError for anything else, such as what float() alone would
+    also take (' 0.2', '1_0e-1', '+0.2', the digits of other scripts)."""
+    if raw.isascii() and raw == raw.strip() and "_" not in raw and not raw.startswith("+"):
+        return float(raw)
+    raise ValueError(f"not a number in ASCII: {raw!r}")
+
+
 def read_counts_csv(path: str | Path) -> list[tuple[str, str, int]]:
     """Read a counts CSV with the exact header term,doc,count.
 

@@ -25,8 +25,8 @@ from .weights import SCHEMES, WeightRecord, _cell_record, fisher_weight, q_ij, t
 
 TABLE_TOLERANCE = 5e-5  # match at four printed decimals
 
-FORMULAS = ("neg_log_p", "tficf_phi", "tfidf_psi", "tfidf")
-FORMULA_LABELS = {
+# formula -> its label in the text layout, in table order
+FORMULAS = {
     "neg_log_p": "-log p",
     "tficf_phi": "tficf+phi",
     "tfidf_psi": "tfidf+psi",
@@ -37,31 +37,27 @@ FORMULA_LABELS = {
 _TABLE_PARAMS = ("n", "n_i", "b_i", "n_j", "n_ij", "d")
 
 
-class TableSetting(NamedTuple):
-    """A reference parameter setting with frozen expected values."""
+class TableRow(NamedTuple):
+    """One setting's formula values and percentage gaps: frozen reference
+    values in the settings below, computed ones from evaluate_setting."""
 
     block: str    # "small" / "large" / "typical"
     label: str    # "general" / "uniform" / "exclusive" / "case-1" / "case-2"
     params: CellStats
-    expected: Mapping[str, float]        # formula -> reference value
-    expected_delta: Mapping[str, float]  # formula -> reference |delta %|
+    values: Mapping[str, float]  # formula -> value
+    deltas: Mapping[str, float]  # formula -> |delta %| against neg_log_p
 
 
-def _setting(block, label, params, values, deltas) -> TableSetting:
-    return TableSetting(
-        block=block,
-        label=label,
-        params=CellStats(**dict(zip(_TABLE_PARAMS, params))),
-        expected=dict(zip(FORMULAS, values)),
-        expected_delta=dict(zip(FORMULAS, deltas)),
-    )
+def _setting(block, label, params, values, deltas) -> TableRow:
+    params = CellStats(**dict(zip(_TABLE_PARAMS, params)))
+    return TableRow(block, label, params, dict(zip(FORMULAS, values)), dict(zip(FORMULAS, deltas)))
 
 
 # Six settings exercising the approximation bridges: "general" collections
 # impose no structure; "uniform" collections have equal-length documents and
 # a fixed per-document count for the focal term; "exclusive" collections let
 # the focal term fill its documents entirely.
-VALIDATION_SETTINGS: tuple[TableSetting, ...] = (
+VALIDATION_SETTINGS: tuple[TableRow, ...] = (
     _setting(
         "small", "general", (1000, 150, 4, 100, 25, 20),
         (5.5429, 4.7111, 24.6764, 40.2359),
@@ -95,7 +91,7 @@ VALIDATION_SETTINGS: tuple[TableSetting, ...] = (
 )
 
 # Two settings closer to real corpora, where the approximations degrade.
-TYPICAL_SETTINGS: tuple[TableSetting, ...] = (
+TYPICAL_SETTINGS: tuple[TableRow, ...] = (
     _setting(
         "typical", "case-1", (10000, 125, 12, 75, 7, 175),
         (10.1385, 8.4774, 12.7487, 18.7592),
@@ -109,35 +105,15 @@ TYPICAL_SETTINGS: tuple[TableSetting, ...] = (
 )
 
 
-class TableRow(NamedTuple):
-    """Computed formula values and percentage gaps for one setting."""
-
-    block: str
-    label: str
-    params: CellStats
-    values: Mapping[str, float]
-    deltas: Mapping[str, float]
-
-
-def evaluate_setting(setting: TableSetting) -> TableRow:
-    """The setting's formulas, read from the record weigh_matrix gives its cell."""
+def evaluate_setting(setting: TableRow) -> TableRow:
+    """The setting with the values and deltas computed from the record
+    weigh_matrix gives its cell."""
     record = WeightRecord("", "", *_cell_record(setting.params, SCHEMES))
     neg_log_p = record.neg_log_p
-    values = {
-        "neg_log_p": neg_log_p,
-        "tficf_phi": record.thm1_approx,
-        "tfidf_psi": record.cor1_approx,
-        "tfidf": record.tfidf,
-    }
+    values = dict(zip(FORMULAS, (neg_log_p, record.thm1_approx, record.cor1_approx, record.tfidf)))
     # gap relative to the formula of interest, as a percentage
     deltas = {name: abs(neg_log_p - v) / abs(v) * 100.0 for name, v in values.items()}
-    return TableRow(
-        block=setting.block,
-        label=setting.label,
-        params=setting.params,
-        values=values,
-        deltas=deltas,
-    )
+    return setting._replace(values=values, deltas=deltas)
 
 
 def check_reference_tables() -> tuple[list[TableRow], list[str]]:
@@ -149,8 +125,8 @@ def check_reference_tables() -> tuple[list[TableRow], list[str]]:
         rows.append(row := evaluate_setting(setting))
         for name in FORMULAS:
             for field, computed, expected in (
-                (name, row.values[name], setting.expected[name]),
-                (f"delta:{name}", row.deltas[name], setting.expected_delta[name]),
+                (name, row.values[name], setting.values[name]),
+                (f"delta:{name}", row.deltas[name], setting.deltas[name]),
             ):
                 if abs(computed - expected) > TABLE_TOLERANCE:
                     mismatches.append(
@@ -416,11 +392,11 @@ def _format_block(title: str, rows: Sequence[TableRow]) -> str:
         lines.append(line.rstrip())
     sub = " " * label_w + "".join(f"{'result':<{col_w}}{'|delta%|':<{col_w}}" for _ in rows)
     lines.append(sub.rstrip())
-    for name in FORMULAS:
+    for name, formula_label in FORMULAS.items():
         cells = "".join(
             f"{row.values[name]:<{col_w}.4f}{row.deltas[name]:<{col_w}.4f}" for row in rows
         )
-        lines.append(f"{FORMULA_LABELS[name]:<{label_w}}{cells}".rstrip())
+        lines.append(f"{formula_label:<{label_w}}{cells}".rstrip())
     return "\n".join(lines)
 
 

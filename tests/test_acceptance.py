@@ -47,10 +47,10 @@ def test_c01_validation_table_values():
     rows = [evaluate_setting(s) for s in VALIDATION_SETTINGS]
     elapsed = time.perf_counter() - start
     bad = [
-        (s.block, s.label, name, row.values[name], s.expected[name])
+        (s.block, s.label, name, row.values[name], s.values[name])
         for s, row in zip(VALIDATION_SETTINGS, rows)
         for name in FORMULAS
-        if abs(row.values[name] - s.expected[name]) > TABLE_TOL
+        if abs(row.values[name] - s.values[name]) > TABLE_TOL
     ]
     ok = not bad and elapsed < 1.0
     _report(
@@ -69,11 +69,11 @@ def test_c02_delta_values_both_tables():
     bad = []
     for s, row in zip(settings, rows):
         for name in FORMULAS:
-            if s.expected_delta[name] == 0.0:
+            if s.deltas[name] == 0.0:
                 continue
             checked += 1
-            if abs(row.deltas[name] - s.expected_delta[name]) > TABLE_TOL:
-                bad.append((s.block, s.label, name, row.deltas[name], s.expected_delta[name]))
+            if abs(row.deltas[name] - s.deltas[name]) > TABLE_TOL:
+                bad.append((s.block, s.label, name, row.deltas[name], s.deltas[name]))
     ok = checked == 24 and not bad and elapsed < 1.0
     _report(
         "C02 percentage-gap values",
@@ -86,10 +86,10 @@ def test_c02_delta_values_both_tables():
 def test_c03_typical_table_values():
     rows = [evaluate_setting(s) for s in TYPICAL_SETTINGS]
     bad = [
-        (s.label, name, row.values[name], s.expected[name])
+        (s.label, name, row.values[name], s.values[name])
         for s, row in zip(TYPICAL_SETTINGS, rows)
         for name in FORMULAS
-        if abs(row.values[name] - s.expected[name]) > TABLE_TOL
+        if abs(row.values[name] - s.values[name]) > TABLE_TOL
     ]
     _report(
         "C03 typical-table values",

@@ -580,7 +580,7 @@ class TestTable:
         assert first == second
 
     def test_injected_error_exits_3_and_names_cell(self, monkeypatch, capsys):
-        expected = VALIDATION_SETTINGS[0].expected  # small/general
+        expected = VALIDATION_SETTINGS[0].values  # small/general
         monkeypatch.setitem(expected, "tfidf", expected["tfidf"] + 1.0)
         code, _, err = run_cli("table", capsys=capsys)
         assert code == 3
@@ -752,6 +752,23 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err.startswith("usage: termfisher sweep ")
         assert f"error: argument {flag}: invalid" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--cor2-beta", "--decay-p"])
+    @pytest.mark.parametrize("raw", ["\u0660.\u0662", "1_0e-1", " 0.2", "0.2 ", "+0.2", "0.\uff12"])
+    def test_a_float_flag_outside_ascii_is_a_usage_error(self, flag, raw, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", f"{flag}={raw}"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: termfisher sweep ")
+        assert f"error: argument {flag}: invalid" in captured.err
+
+    def test_float_flags_take_exponents(self, capsys):
+        # the defaults, 0.2 and 0.1, written another way print the default report
+        code, out, err = run_cli("sweep", "--cor2-beta", "2e-1", "--decay-p", "1.0E-1", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (DATA / "golden_sweep.txt").read_bytes()
 
 
 class TestGoldenReports:

@@ -4,6 +4,7 @@ import csv
 import io
 from fractions import Fraction
 from math import comb, isclose, log
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,8 @@ from termfisher.verify import (
 )
 from termfisher.weights import fisher_weight, phi, psi, q_ij, tfidf, tficf, weigh_matrix
 
+DATA = Path(__file__).parent / "data"
+
 
 class TestReferenceTables:
     def test_validation_values_match_frozen_references(self):
@@ -52,27 +55,27 @@ class TestReferenceTables:
         assert len(rows) == 6
         for setting, row in zip(VALIDATION_SETTINGS, rows):
             for name in FORMULAS:
-                assert abs(row.values[name] - setting.expected[name]) < 5e-5
-                assert abs(row.deltas[name] - setting.expected_delta[name]) < 5e-5
+                assert abs(row.values[name] - setting.values[name]) < 5e-5
+                assert abs(row.deltas[name] - setting.deltas[name]) < 5e-5
 
     def test_typical_values_match_frozen_references(self):
         rows = [evaluate_setting(s) for s in TYPICAL_SETTINGS]
         assert len(rows) == 2
         for setting, row in zip(TYPICAL_SETTINGS, rows):
             for name in FORMULAS:
-                assert abs(row.values[name] - setting.expected[name]) < 5e-5
-                assert abs(row.deltas[name] - setting.expected_delta[name]) < 5e-5
+                assert abs(row.values[name] - setting.values[name]) < 5e-5
+                assert abs(row.deltas[name] - setting.deltas[name]) < 5e-5
 
     def test_frozen_references_rederived_from_exact_arithmetic(self):
         # the frozen numbers themselves, re-derived with integer enumeration
         for setting in VALIDATION_SETTINGS + TYPICAL_SETTINGS:
             cell = setting.params
             exact_neg_log = neg_log_tail(cell.n_ij, cell.n_i, cell.n_j, cell.n)
-            assert abs(exact_neg_log - setting.expected["neg_log_p"]) < 5e-5
+            assert abs(exact_neg_log - setting.values["neg_log_p"]) < 5e-5
             exact_tfidf = cell.n_ij * (log(cell.d) - log(cell.b_i))
-            assert abs(exact_tfidf - setting.expected["tfidf"]) < 5e-5
+            assert abs(exact_tfidf - setting.values["tfidf"]) < 5e-5
             delta = abs(exact_neg_log - exact_tfidf) / abs(exact_tfidf) * 100.0
-            assert abs(delta - setting.expected_delta["tfidf"]) < 5e-5
+            assert abs(delta - setting.deltas["tfidf"]) < 5e-5
 
     def test_delta_convention_formula_denominator(self):
         row = evaluate_setting(VALIDATION_SETTINGS[0])
@@ -108,14 +111,14 @@ class TestReferenceTables:
         assert len(calls) == len(VALIDATION_SETTINGS + TYPICAL_SETTINGS) == 8
 
     def test_injected_perturbation_is_caught(self, monkeypatch):
-        expected = VALIDATION_SETTINGS[0].expected  # small/general
+        expected = VALIDATION_SETTINGS[0].values  # small/general
         monkeypatch.setitem(expected, "tfidf", expected["tfidf"] + 1.0)
         _, mismatches = check_reference_tables()
         assert len(mismatches) == 1
         assert mismatches == ["small/general tfidf: computed 40.2359, expected 41.2359"]
 
     def test_injected_delta_perturbation_is_caught(self, monkeypatch):
-        expected_delta = TYPICAL_SETTINGS[1].expected_delta  # typical/case-2
+        expected_delta = TYPICAL_SETTINGS[1].deltas  # typical/case-2
         monkeypatch.setitem(expected_delta, "tfidf_psi", expected_delta["tfidf_psi"] + 0.5)
         _, mismatches = check_reference_tables()
         assert mismatches == ["typical/case-2 delta:tfidf_psi: computed 14.7178, expected 15.2178"]
@@ -134,6 +137,15 @@ class TestReferenceTables:
         assert lookup[("small", "general", "neg_log_p")]["value"] == "5.5429"
         assert lookup[("small", "general", "tfidf")]["delta_pct"] == "86.2241"
         assert lookup[("typical", "case-2", "tficf_phi")]["delta_pct"] == "24.0226"
+
+    @pytest.mark.parametrize(
+        "render, golden",
+        [(render_tables_text, "golden_table.txt"), (render_tables_csv, "golden_table.csv")],
+    )
+    def test_frozen_rows_render_the_golden_bytes(self, render, golden):
+        # the reference values themselves print the tables, with no kernel call
+        out = render(VALIDATION_SETTINGS + TYPICAL_SETTINGS)
+        assert out.encode("utf-8") == (DATA / golden).read_bytes()
 
 
 class TestPerDrawQuantities:
