@@ -27,7 +27,6 @@ from .corpus import (
     read_counts_csv,
     read_stopwords,
     read_text_dir,
-    repeated_key_line,
 )
 from .errors import DuplicateCellError, InputFormatError, TermfisherError
 from .weights import SCHEMES, WeightRecord, weigh_matrix
@@ -90,11 +89,12 @@ def _load_matrix(args: argparse.Namespace) -> TermDocumentMatrix:
         return ingest_text(read_corpus_jsonl(args.input), stopwords=stopwords)
     if args.format == "textdir":
         return ingest_text(read_text_dir(args.input), stopwords=stopwords)
+    rows = read_counts_csv(args.input)
     try:
-        return ingest_counts(read_counts_csv(args.input))
+        return ingest_counts(rows)
     except DuplicateCellError as exc:
-        # only ingestion sees the repeated pair; its line is looked up on this path alone
-        raise InputFormatError(str(exc), path=args.input, line=repeated_key_line(args.input)) from None
+        # the reader is paused at the repeated row; it raises the error at that row's line
+        rows.throw(exc)
 
 
 def _parse_schemes(raw: str | None) -> frozenset[str] | None:

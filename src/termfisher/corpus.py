@@ -17,7 +17,7 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, TextIO
+from typing import Collection, Generator, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .errors import (
     DuplicateCellError,
@@ -363,15 +363,16 @@ def ascii_float(raw: str) -> float:
     raise ValueError(f"not a number in ASCII: {raw!r}")
 
 
-def read_counts_csv(path: str | Path) -> list[tuple[str, str, int]]:
-    """Read a counts CSV with the exact header term,doc,count.
+def read_counts_csv(path: str | Path) -> Generator[tuple[str, str, int], None, None]:
+    """Yield the rows of a counts CSV with the exact header term,doc,count.
 
     Each distinct term or doc name is checked once and kept as one string
     object, which every row that repeats it shares; each distinct count
-    string is parsed once.
+    string is parsed once. A DuplicateCellError thrown in at a row's yield
+    (ingest_counts found it repeats a pair) is raised as InputFormatError at
+    that row's line.
     """
     path = Path(path)
-    rows: list[tuple[str, str, int]] = []
     names: dict[str, str] = {}
     counts: dict[str, int] = {}
     for lineno, row in csv_rows(path, COUNTS_CSV_HEADER):
@@ -392,27 +393,18 @@ def read_counts_csv(path: str | Path) -> list[tuple[str, str, int]]:
             names[term] = _checked_name(term, "term", path, lineno)
         if doc not in names:
             names[doc] = _checked_name(doc, "doc", path, lineno)
-        rows.append((names[term], names[doc], count))
-    return rows
+        try:
+            yield names[term], names[doc], count
+        except DuplicateCellError as exc:
+            raise InputFormatError(str(exc), path=str(path), line=lineno) from None
 
 
-def repeated_key_line(path: str | Path) -> int:
-    """Line of the first counts CSV row that repeats a (term, doc) pair; 0 if
-    none. It rescans a file that read_counts_csv has accepted, so only error
-    reports call it."""
-    seen = set()
-    for lineno, (term, doc, _) in csv_rows(path, COUNTS_CSV_HEADER):
-        if (term, doc) in seen:
-            return lineno
-        seen.add((term, doc))
-    return 0
-
-
-def read_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
-    """Read a corpus JSONL file: one object per line with id and text, ids
-    unique; the first fault in file order is reported, at its line."""
+def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield (id, text) for each line of a corpus JSONL file: one object per
+    line with id and text, ids unique; the first fault in file order is
+    reported, at its line."""
     path = Path(path)
-    documents: dict[str, str] = {}  # id -> text, in file order
+    seen: set[str] = set()
     with open_text(path, None) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -433,30 +425,31 @@ def read_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
                     line=lineno,
                 )
             doc_id = _checked_name(obj["id"], "id", path, lineno)
-            if doc_id in documents:
+            if doc_id in seen:
                 raise InputFormatError(f"duplicate document id {doc_id!r}", path=str(path), line=lineno)
-            documents[doc_id] = obj["text"]
-    return list(documents.items())
+            seen.add(doc_id)
+            yield doc_id, obj["text"]
 
 
-def read_text_dir(path: str | Path) -> list[tuple[str, str]]:
-    """Read every .txt file in a directory; doc id is the file stem.
+def read_text_dir(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield (stem, text) for every .txt file in a directory, in name order.
 
-    A missing path or one that is not a directory raises the matching OSError.
-    A file name holding a tab, CR, LF or bytes that are not UTF-8, or a second
-    file of one stem (".txt" and ".txt.txt"), raises InputFormatError at the
-    directory.
+    A missing path or one that is not a directory raises the matching OSError
+    on first iteration. A file name holding a tab, CR, LF or bytes that are
+    not UTF-8, or a second file of one stem (".txt" and ".txt.txt"), raises
+    InputFormatError at the directory.
     """
     path = Path(path)
-    documents: dict[str, str] = {}  # stem -> text, in name order
+    seen: set[str] = set()
     for name in sorted(os.listdir(path)):
         if name.endswith(".txt"):
             file = path / _checked_name(name, "file name", path, 0)
-            if file.stem in documents:
+            if file.stem in seen:
                 raise InputFormatError(f"duplicate document id {file.stem!r}", path=str(path))
+            seen.add(file.stem)
             with open_text(file, None) as handle:
-                documents[file.stem] = handle.read()
-    return list(documents.items())
+                text = handle.read()
+            yield file.stem, text
 
 
 def read_stopwords(path: str | Path) -> frozenset[str]:

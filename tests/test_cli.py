@@ -230,6 +230,14 @@ class TestRepeatedKeys:
         assert (code, out) == (2, "")
         assert err == f"error: {bad}:6: duplicate cell ('a', 'd1')\n"
 
+    def test_counts_csv_repeat_comes_before_a_later_fault(self, tmp_path, capsys):
+        # ingest meets the repeat on line 3 before the reader parses the bad count on line 4
+        bad = tmp_path / "dup.csv"
+        bad.write_text("term,doc,count\na,d1,1\na,d1,2\nb,d1,x\n", encoding="utf-8")
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "counts", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:3: duplicate cell ('a', 'd1')\n"
+
     def test_jsonl(self, tmp_path, capsys):
         bad = tmp_path / "dup.jsonl"
         bad.write_text(

@@ -14,7 +14,6 @@ from termfisher.corpus import (
     read_counts_csv,
     read_stopwords,
     read_text_dir,
-    repeated_key_line,
     tokenize,
 )
 from termfisher.errors import (
@@ -467,14 +466,14 @@ class TestFileFormats:
         raw = path.read_bytes()
         assert raw.startswith(b"term,doc,count\n")
         assert b"\r" not in raw
-        assert read_counts_csv(path) == rows
+        assert list(read_counts_csv(path)) == rows
 
     def test_counts_csv_keeps_one_string_per_name(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text(
             "term,doc,count\nalpha,d1,1\nbeta,d1,2\nalpha,d2,3\nd2,alpha,4\n", encoding="utf-8"
         )
-        rows = read_counts_csv(path)
+        rows = list(read_counts_csv(path))
         assert rows == [("alpha", "d1", 1), ("beta", "d1", 2), ("alpha", "d2", 3), ("d2", "alpha", 4)]
         assert rows[2][0] is rows[0][0]
         assert rows[1][1] is rows[0][1]
@@ -486,26 +485,43 @@ class TestFileFormats:
         path = tmp_path / "bad.csv"
         path.write_text("term,document,count\na,b,1\n", encoding="utf-8")
         with pytest.raises(InputFormatError) as excinfo:
-            read_counts_csv(path)
+            list(read_counts_csv(path))
         assert excinfo.value.line == 1
 
     def test_counts_csv_bad_count_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("term,doc,count\na,b,1\na,c,xyz\n", encoding="utf-8")
         with pytest.raises(InputFormatError) as excinfo:
-            read_counts_csv(path)
+            list(read_counts_csv(path))
         assert excinfo.value.line == 3
 
-    def test_repeated_key_line_is_a_physical_line(self, tmp_path):
-        # the record on lines 2-3 holds a newline; the repeat is on line 5
+    def test_a_repeat_thrown_back_is_raised_at_its_physical_line(self, tmp_path):
+        # ingest_counts meets the repeat on line 5, after the blank line 3 and
+        # before the bad count on line 6; the reader is paused at that row
         path = tmp_path / "dup.csv"
-        path.write_text('term,doc,count\na,d1,"1\n"\nb,d1,2\na,d1,3\n', encoding="utf-8")
-        assert repeated_key_line(path) == 5
+        path.write_text("term,doc,count\na,d1,1\n\nb,d1,2\na,d1,3\nb,d2,x\n", encoding="utf-8")
+        rows = read_counts_csv(path)
+        with pytest.raises(DuplicateCellError) as repeat:
+            ingest_counts(rows)
+        with pytest.raises(InputFormatError) as excinfo:
+            rows.throw(repeat.value)
+        assert excinfo.value.line == 5
+        assert str(excinfo.value) == f"{path}:5: duplicate cell ('a', 'd1')"
 
-    def test_repeated_key_line_is_0_without_a_repeat(self, tmp_path):
-        path = tmp_path / "counts.csv"
-        path.write_text("term,doc,count\na,d1,1\nb,d1,2\na,d2,3\n", encoding="utf-8")
-        assert repeated_key_line(path) == 0
+    @pytest.mark.parametrize(
+        "reader, name, files, first",
+        [
+            (read_counts_csv, "counts.csv", {"counts.csv": b"term,doc,count\na,d1,1\nb,d1,x\n"}, ("a", "d1", 1)),
+            (read_corpus_jsonl, "corpus.jsonl", {"corpus.jsonl": b'{"id": "d1", "text": "a"}\n{bad\n'}, ("d1", "a")),
+            (read_text_dir, ".", {"a.txt": b"alpha", "b.txt": b"\xff"}, ("a", "alpha")),
+        ],
+        ids=["counts", "jsonl", "textdir"],
+    )
+    def test_readers_yield_before_reading_on(self, tmp_path, reader, name, files, first):
+        # the first row comes out although a later line is bad
+        for file, data in files.items():
+            (tmp_path / file).write_bytes(data)
+        assert next(reader(tmp_path / name)) == first
 
     def test_jsonl_reader(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -513,20 +529,20 @@ class TestFileFormats:
             '{"id": "d1", "text": "a b"}\n\n{"id": "d2", "text": "c"}\n',
             encoding="utf-8",
         )
-        assert read_corpus_jsonl(path) == [("d1", "a b"), ("d2", "c")]
+        assert list(read_corpus_jsonl(path)) == [("d1", "a b"), ("d2", "c")]
 
     def test_jsonl_reader_rejects_bad_lines(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "d1", "text": "a"}\n{"id": 5, "text": "b"}\n', encoding="utf-8")
         with pytest.raises(InputFormatError) as excinfo:
-            read_corpus_jsonl(path)
+            list(read_corpus_jsonl(path))
         assert excinfo.value.line == 2
 
     def test_text_dir_reader_sorted_by_name(self, tmp_path):
         (tmp_path / "b.txt").write_text("beta", encoding="utf-8")
         (tmp_path / "a.txt").write_text("alpha", encoding="utf-8")
         (tmp_path / "ignored.md").write_text("nope", encoding="utf-8")
-        assert read_text_dir(tmp_path) == [("a", "alpha"), ("b", "beta")]
+        assert list(read_text_dir(tmp_path)) == [("a", "alpha"), ("b", "beta")]
 
     def test_stopword_reader(self, tmp_path):
         path = tmp_path / "stop.txt"
