@@ -17,7 +17,6 @@ from .corpus import (
 from .numerics import (
     NEG_INFINITY,
     HypergeomParams,
-    chvatal_log_bound,
     log_binom_pmf,
     log_choose,
     log_factorial,
@@ -47,7 +46,6 @@ __all__ = [
     "tokenize",
     "NEG_INFINITY",
     "HypergeomParams",
-    "chvatal_log_bound",
     "log_binom_pmf",
     "log_choose",
     "log_factorial",

@@ -74,6 +74,8 @@ class CellStats(_CellCounts):
             raise ValueError("marginal totals cannot exceed the grand total")
         if not 1 <= b_i <= d:
             raise ValueError("b_i must lie in [1, d]")
+        if b_i > n_i:
+            raise ValueError("b_i cannot exceed n_i")  # each of b_i documents holds the term
         return tuple.__new__(cls, (n_ij, n_i, n_j, n, b_i, d))
 
     @classmethod
@@ -89,11 +91,6 @@ class CellStats(_CellCounts):
     def p_i(self) -> float:
         """Proportion of the collection made up by the term."""
         return self.n_i / self.n
-
-    @property
-    def p_check(self) -> float:
-        """p_ij shifted up by one document slot: p_ij + 1/n_j."""
-        return self.p_ij + 1.0 / self.n_j
 
 
 class TermDocumentMatrix:

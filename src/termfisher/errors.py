@@ -33,14 +33,6 @@ class InvalidProbabilityError(TermfisherError, ValueError):
     """A probability parameter lies outside [0, 1]."""
 
 
-class BoundInapplicableError(TermfisherError, ValueError):
-    """Tail-bound preconditions (p_i <= p_check < 1) do not hold."""
-
-
-class UndefinedWeightError(TermfisherError, ValueError):
-    """A weight is undefined for the given cell (e.g. b_i = 0)."""
-
-
 class UndefinedQuotientError(TermfisherError, ValueError):
     """The tail/binomial quotient is undefined (p_i is 0 or 1)."""
 

@@ -23,16 +23,9 @@ absolute, and the quotient q within 1e-11 relative.
 from __future__ import annotations
 
 from math import exp, inf, lgamma, log, log1p, pi
-from typing import NamedTuple, TYPE_CHECKING
+from typing import NamedTuple
 
-from .errors import (
-    BoundInapplicableError,
-    InvalidChooseError,
-    InvalidProbabilityError,
-)
-
-if TYPE_CHECKING:
-    from .corpus import CellStats
+from .errors import InvalidChooseError, InvalidProbabilityError
 
 NEG_INFINITY = -inf
 
@@ -194,22 +187,3 @@ def log_hypergeom_tail(
         total = _falling_series(s - k + 1, N - K, s, N)
         tail, before = log1p(-exp(anchor + log(total))), log1p(-exp(anchor) * (total - 1.0))
     return tail, 0.0 if k - 1 == lo else min(before, 0.0)
-
-
-def chvatal_log_bound(stats: "CellStats") -> float:
-    """Exponential upper bound on ln P(X >= n_ij + 1) for the cell's tail.
-
-    Evaluates n_j * [pc*ln(p_i/pc) + (1-pc)*ln((1-p_i)/(1-pc))] with
-    pc = p_ij + 1/n_j. Applicability (p_i <= pc < 1) is checked on the
-    integer fields so borderline cells are classified exactly.
-    """
-    # p_i <= p_check  <=>  n_i * n_j <= (n_ij + 1) * n;  p_check < 1  <=>  n_ij + 1 < n_j
-    if stats.n_i * stats.n_j > (stats.n_ij + 1) * stats.n:
-        raise BoundInapplicableError("requires p_i <= p_check")
-    if stats.n_ij + 1 >= stats.n_j:
-        raise BoundInapplicableError("requires p_check < 1")
-    if stats.n_i * stats.n_j == (stats.n_ij + 1) * stats.n:
-        return 0.0  # p_check == p_i exactly: both logs are ln 1
-    p_i = stats.p_i
-    pc = stats.p_check
-    return stats.n_j * (pc * log(p_i / pc) + (1.0 - pc) * log((1.0 - p_i) / (1.0 - pc)))

@@ -149,11 +149,6 @@ class QuotientPoint(NamedTuple):
         return f"n={self.n} n_i={self.n_i} n_j={self.n_j} n_ij={self.n_ij}"
 
 
-#: Concrete thresholds adopted for the quotient regime: the collection
-#: proportion is small, documents are long, and the focal count sits well
-#: inside the document while dominating the collection proportion tenfold.
-QUOTIENT_REGIME = dict(p_i_max=0.01, n_j_min=200, n_ij_min=20, slack_min=20, ratio_min=10.0)
-
 _GRID_N = 10**6
 _GRID_N_I = (500, 1000, 2000, 5000, 10000)
 _GRID_N_J = (200, 400, 800, 1600, 3200)
@@ -161,17 +156,18 @@ _GRID_N_IJ = (20, 40, 80, 160, 320, 640)
 
 
 def in_quotient_regime(point: QuotientPoint) -> bool:
+    """The thresholds adopted for the quotient regime: the collection
+    proportion is small, documents are long, and the focal count sits well
+    inside the document while dominating the collection proportion tenfold.
+    Each proportion test is cross-multiplied, so it is decided exactly."""
     n, n_i, n_j, n_ij = point
-    if n_ij > min(n_i, n_j):
-        return False
-    p_i = n_i / n
-    p_ij = n_ij / n_j
     return (
-        p_i <= QUOTIENT_REGIME["p_i_max"]
-        and n_j >= QUOTIENT_REGIME["n_j_min"]
-        and n_ij >= QUOTIENT_REGIME["n_ij_min"]
-        and n_j - n_ij >= QUOTIENT_REGIME["slack_min"]
-        and p_i * QUOTIENT_REGIME["ratio_min"] <= p_ij
+        n_ij <= min(n_i, n_j)
+        and 100 * n_i <= n  # p_i <= 0.01
+        and n_j >= 200
+        and n_ij >= 20
+        and n_j - n_ij >= 20
+        and 10 * n_i * n_j <= n_ij * n  # 10 p_i <= p_ij
     )
 
 

@@ -12,11 +12,7 @@ from math import exp, inf, log
 from typing import Iterable, NamedTuple
 
 from .corpus import CellStats, TermDocumentMatrix
-from .errors import (
-    UndefinedPhiError,
-    UndefinedQuotientError,
-    UndefinedWeightError,
-)
+from .errors import UndefinedPhiError, UndefinedQuotientError
 from .numerics import HypergeomParams, log_binom_pmf, log_hypergeom_tail
 
 SCHEMES = frozenset(
@@ -30,9 +26,7 @@ def idf(stats: CellStats) -> float:
 
 
 def icf(stats: CellStats) -> float:
-    """Inverse collection frequency ln(n / n_i)."""
-    if stats.n_i < 1:
-        raise UndefinedWeightError("icf requires n_i >= 1")
+    """Inverse collection frequency ln(n / n_i); n_i >= b_i >= 1 in any cell."""
     return log(stats.n / stats.n_i)
 
 
@@ -124,10 +118,9 @@ def _cell_record(stats: CellStats, schemes: frozenset[str], memo: dict | None = 
     """The record of one cell without term and doc: tf, the selected scheme
     values (None where not selected or NA), and a note for each that is NA.
     memo is passed on to the tail kernel."""
-    n_ij = stats.n_ij
     approx = "approximations" in schemes
-    idf_v = idf(stats) if approx or "idf" in schemes or "tfidf" in schemes else None
-    icf_v = icf(stats) if approx or "icf" in schemes or "tficf" in schemes else None
+    tfidf_v = tfidf(stats) if approx or "tfidf" in schemes else None
+    tficf_v = tficf(stats) if approx or "tficf" in schemes else None
     wants_phi = "phi" in schemes or approx
     wants_psi = "psi" in schemes or approx
     neg_log_p = q_v = phi_v = psi_v = thm1_v = cor1_v = None
@@ -156,15 +149,15 @@ def _cell_record(stats: CellStats, schemes: frozenset[str], memo: dict | None = 
             psi_v = psi(stats, q_v)
     if approx:
         if phi_v is not None:
-            thm1_v = n_ij * icf_v + phi_v
+            thm1_v = tficf_v + phi_v
         if psi_v is not None:
-            cor1_v = n_ij * idf_v + psi_v
+            cor1_v = tfidf_v + psi_v
     return (
-        n_ij,
-        idf_v if "idf" in schemes else None,
-        icf_v if "icf" in schemes else None,
-        n_ij * idf_v if "tfidf" in schemes else None,
-        n_ij * icf_v if "tficf" in schemes else None,
+        stats.n_ij,
+        idf(stats) if "idf" in schemes else None,
+        icf(stats) if "icf" in schemes else None,
+        tfidf_v if "tfidf" in schemes else None,
+        tficf_v if "tficf" in schemes else None,
         neg_log_p, q_v, phi_v, psi_v, thm1_v, cor1_v, tuple(notes),
     )
 

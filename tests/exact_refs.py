@@ -4,8 +4,8 @@ The references are built from integers and Fractions only: tail sums are
 big-integer binomial sums, probabilities are exact rationals, and logs are
 taken of (big) integers, which math.log handles at full precision. They
 share no code with the package's log-space engine. The helpers at the end
-(log_sum_exp, the per-draw quantities, embed_cell_counts, focal_stats and
-the counts writers) are not references.
+(log_sum_exp, the Chvatal bound and the per-draw quantities,
+embed_cell_counts, focal_stats and the counts writers) are not references.
 """
 
 import csv
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from termfisher.corpus import COUNTS_CSV_HEADER, CellStats, TermDocumentMatrix, ingest_counts
 from termfisher.errors import InvalidProbabilityError, InvalidSyntheticSpecError
-from termfisher.numerics import chvatal_log_bound, log_binom_pmf
+from termfisher.numerics import log_binom_pmf
 
 
 def support(K: int, s: int, N: int) -> tuple[int, int]:
@@ -81,6 +81,26 @@ def log_sum_exp(a: float, b: float) -> float:
         return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + log1p(exp(lo - hi))
+
+
+def chvatal_log_bound(stats: CellStats) -> float:
+    """Exponential upper bound on ln P(X >= n_ij + 1) for the cell's tail.
+
+    Evaluates n_j * [pc*ln(p_i/pc) + (1-pc)*ln((1-p_i)/(1-pc))] with
+    pc = p_ij + 1/n_j. Applicability (p_i <= pc < 1) is checked on the
+    integer fields so borderline cells are classified exactly; a cell
+    outside it raises ValueError.
+    """
+    # p_i <= pc  <=>  n_i * n_j <= (n_ij + 1) * n;  pc < 1  <=>  n_ij + 1 < n_j
+    if stats.n_i * stats.n_j > (stats.n_ij + 1) * stats.n:
+        raise ValueError("requires p_i <= p_check")
+    if stats.n_ij + 1 >= stats.n_j:
+        raise ValueError("requires p_check < 1")
+    if stats.n_i * stats.n_j == (stats.n_ij + 1) * stats.n:
+        return 0.0  # pc == p_i exactly: both logs are ln 1
+    p_i = stats.p_i
+    pc = stats.p_ij + 1.0 / stats.n_j
+    return stats.n_j * (pc * log(p_i / pc) + (1.0 - pc) * log((1.0 - p_i) / (1.0 - pc)))
 
 
 def w_binomial(stats: CellStats) -> float:

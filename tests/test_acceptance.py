@@ -12,12 +12,11 @@ from fractions import Fraction
 from math import comb, exp, log
 from pathlib import Path
 
-from exact_refs import focal_stats, neg_log_tail, tail_fraction
+from exact_refs import chvatal_log_bound, focal_stats, neg_log_tail, tail_fraction
 from termfisher.corpus import CellStats
 from termfisher.numerics import (
     NEG_INFINITY,
     HypergeomParams,
-    chvatal_log_bound,
     log_hypergeom_pmf,
     log_hypergeom_tail,
 )

@@ -612,13 +612,16 @@ class TestSweep:
 
     def test_out_of_regime_grid_file_fails(self, tmp_path, capsys):
         grid = tmp_path / "grid.csv"
-        grid.write_text("n,n_i,n_j,n_ij\n1000,500,100,50\n", encoding="utf-8")
+        # the second point is a term absent from the collection, a cell CellStats rejects
+        grid.write_text("n,n_i,n_j,n_ij\n1000,500,100,50\n1000,0,100,0\n", encoding="utf-8")
         code, out, err = run_cli("sweep", "--grid-file", str(grid), capsys=capsys)
         assert code == 3
         assert "n_i=500" in err
         assert err == (
             "sweep failure: quotient at n=1000 n_i=500 n_j=100 n_ij=50: "
             "q=5.7552248141953015 q outside (0, 1)\n"
+            "sweep failure: quotient at n=1000 n_i=0 n_j=100 n_ij=0: "
+            "q=None b_i cannot exceed n_i\n"
         )
         assert "sweep summary: 2/3 checks passed" in out
 

@@ -130,14 +130,15 @@ class TestIngestCounts:
         assert text == counts
 
 
-def _rejected_when_cell_stats_was_a_dataclass(n_ij, n_i, n_j, n, b_i, d) -> bool:
-    """The checks CellStats.__post_init__ made while CellStats was a frozen dataclass."""
+def _rejected_by_cell_stats(n_ij, n_i, n_j, n, b_i, d) -> bool:
+    """The cells CellStats rejects, stated apart from its checks."""
     return (
         n < 1 or d < 1
         or min(n_ij, n_i, n_j, b_i) < 0
         or n_ij > min(n_i, n_j)
         or n_i > n or n_j > n
         or not 1 <= b_i <= d
+        or b_i > n_i
     )
 
 
@@ -145,12 +146,7 @@ class TestCellStats:
     def test_proportions(self):
         stats = CellStats(n_ij=25, n_i=150, n_j=100, n=1000, b_i=4, d=20)
         assert stats.p_ij == 0.25
-        assert stats.p_check == 0.26
         assert stats.p_i == 0.15
-
-    def test_p_check_identity(self):
-        stats = CellStats(n_ij=7, n_i=40, n_j=50, n=600, b_i=3, d=12)
-        assert stats.p_check == stats.p_ij + 1.0 / stats.n_j
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ValueError):
@@ -161,6 +157,11 @@ class TestCellStats:
             CellStats(n_ij=5, n_i=20, n_j=50, n=90, b_i=6, d=5)  # b_i > d
         with pytest.raises(ValueError):
             CellStats(n_ij=5, n_i=20, n_j=50, n=90, b_i=0, d=5)  # b_i < 1
+
+    def test_a_term_absent_from_the_collection_is_rejected(self):
+        # n_i = 0 with b_i = 1: the cell that icf once had to guard against
+        with pytest.raises(ValueError, match="b_i cannot exceed n_i"):
+            CellStats(0, 0, 5, 10, 1, 2)
 
     @given(st.tuples(*[st.integers(-1, 6)] * 6))
     @settings(max_examples=400, deadline=None)
@@ -175,7 +176,7 @@ class TestCellStats:
             lambda: base._replace(**fields),
         ]
         for build in builds:
-            if _rejected_when_cell_stats_was_a_dataclass(*values):
+            if _rejected_by_cell_stats(*values):
                 with pytest.raises(ValueError):
                     build()
             else:

@@ -9,17 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_refs import log_sum_exp, neg_log_tail, pmf_fraction, tail_fraction
+from exact_refs import chvatal_log_bound, log_sum_exp, neg_log_tail, pmf_fraction, tail_fraction
 from termfisher.corpus import CellStats
-from termfisher.errors import (
-    BoundInapplicableError,
-    InvalidChooseError,
-    InvalidProbabilityError,
-)
+from termfisher.errors import InvalidChooseError, InvalidProbabilityError
 from termfisher.numerics import (
     NEG_INFINITY,
     HypergeomParams,
-    chvatal_log_bound,
     log_binom_pmf,
     log_choose,
     log_factorial,
@@ -359,9 +354,9 @@ class TestChvatalBound:
                         assert bound >= -neg_log_tail(n_ij + 1, K, s, N)
 
     def test_inapplicable_cases_raise(self):
-        with pytest.raises(BoundInapplicableError):
+        with pytest.raises(ValueError, match="requires p_i <= p_check"):
             chvatal_log_bound(_grid_stats(0, 90, 10, 100))  # p_i > p_check
-        with pytest.raises(BoundInapplicableError):
+        with pytest.raises(ValueError, match="requires p_check < 1"):
             chvatal_log_bound(_grid_stats(9, 9, 10, 100))  # p_check = 1
 
 

@@ -1,0 +1,47 @@
+"""Design rules on the package source, read from its syntax trees."""
+
+import ast
+from pathlib import Path
+
+import termfisher
+
+PACKAGE = Path(termfisher.__file__).parent
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The termfisher modules a module imports, by their dotted names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names if alias.name.split(".")[0] == "termfisher"}
+        elif isinstance(node, ast.ImportFrom):
+            base = "termfisher" if node.level else node.module or ""
+            if node.level and node.module:
+                base += "." + node.module
+            if base.split(".")[0] != "termfisher":
+                continue
+            if node.module:
+                found.add(base)
+            else:  # from . import name: each name is a module of the package
+                found |= {f"{base}.{alias.name}" for alias in node.names}
+    return found
+
+
+def test_every_exported_name_is_loaded_by_a_package_module():
+    # an exported name that no module of the package reads is code only tests reach
+    loaded = {
+        node.id
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(set(termfisher.__all__) - loaded) == []
+
+
+def test_numerics_imports_from_the_package_only_errors():
+    assert _package_imports(_tree(PACKAGE / "numerics.py")) == {"termfisher.errors"}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import termfisher.weights
 from exact_refs import (
     binom_pmf_fraction,
+    chvatal_log_bound,
     embed_cell_counts,
     focal_stats,
     neg_log_tail,
@@ -21,12 +22,7 @@ from exact_refs import (
     w_hypergeom_bound,
 )
 from termfisher.corpus import CellStats, ingest_counts
-from termfisher.errors import (
-    BoundInapplicableError,
-    InvalidProbabilityError,
-    InvalidSyntheticSpecError,
-)
-from termfisher.numerics import chvatal_log_bound
+from termfisher.errors import InvalidProbabilityError, InvalidSyntheticSpecError
 from termfisher.verify import (
     FORMULAS,
     QuotientPoint,
@@ -176,7 +172,7 @@ class TestPerDrawQuantities:
 
     def test_w_hypergeom_bound_two_term_expression(self):
         stats = CellStats(n_ij=25, n_i=150, n_j=100, n=1000, b_i=4, d=20)
-        p_i, pc = stats.p_i, stats.p_check
+        p_i, pc = stats.p_i, stats.p_ij + 1.0 / stats.n_j
         direct = pc * log(p_i / pc) + (1 - pc) * log((1 - p_i) / (1 - pc))
         assert isclose(w_hypergeom_bound(stats), direct, rel_tol=1e-12)
 
@@ -191,7 +187,7 @@ class TestPerDrawQuantities:
 
     def test_w_hypergeom_bound_inapplicable(self):
         stats = CellStats(n_ij=9, n_i=9, n_j=10, n=100, b_i=1, d=2)
-        with pytest.raises(BoundInapplicableError):
+        with pytest.raises(ValueError, match="requires p_check < 1"):
             w_hypergeom_bound(stats)
 
 
@@ -203,6 +199,11 @@ class TestQuotientSweep:
 
     def test_regime_filter_excludes_balanced_proportions(self):
         assert not in_quotient_regime(QuotientPoint(n=1000, n_i=500, n_j=100, n_ij=50))
+
+    def test_regime_boundary_is_decided_exactly(self):
+        # 10 * p_i == p_ij exactly, although 304/100000 * 10 > 38/1250 in floats
+        assert in_quotient_regime(QuotientPoint(n=100000, n_i=304, n_j=1250, n_ij=38))
+        assert not in_quotient_regime(QuotientPoint(n=100000, n_i=304, n_j=1250, n_ij=37))
 
     def test_default_sweep_passes(self):
         report = lemma1_sweep()

@@ -10,7 +10,7 @@ import termfisher.numerics
 import termfisher.weights
 from exact_refs import embed_cell_counts, log_fraction, neg_log_tail, quotient, tail_fraction
 from termfisher.corpus import CellStats, TermDocumentMatrix, ingest_counts, ingest_text
-from termfisher.errors import UndefinedPhiError, UndefinedQuotientError, UndefinedWeightError
+from termfisher.errors import UndefinedPhiError, UndefinedQuotientError
 from termfisher.numerics import HypergeomParams, log_hypergeom_tail
 from termfisher.weights import (
     SCHEMES,
@@ -50,10 +50,6 @@ class TestIdfIcf:
 
     def test_icf_zero_for_single_term_collection(self):
         assert icf(make_stats(5, 50, 10, 50, 2, 5)) == 0.0
-
-    def test_icf_undefined_for_a_term_absent_from_the_collection(self):
-        with pytest.raises(UndefinedWeightError, match="icf requires n_i >= 1"):
-            icf(make_stats(0, 0, 5, 10, 1, 2))
 
     def test_icf_reference_values(self):
         assert isclose(icf(EXCLUSIVE), log(6.25), rel_tol=1e-12)  # n=1000, n_i=160
