@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import heapq
 import sys
+from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -28,7 +29,7 @@ from .corpus import (
     read_stopwords,
     read_text_dir,
 )
-from .errors import DuplicateCellError, InputFormatError, TermfisherError
+from .errors import DuplicateCellError, DuplicateDocIdError, InputFormatError, TermfisherError
 from .weights import SCHEMES, WeightRecord, weigh_matrix
 
 TSV_COLUMNS = WeightRecord._fields[:-1]  # every field but notes
@@ -68,10 +69,6 @@ def __getattr__(name: str):  # PEP 562: verify's names resolve as attributes of 
     return globals()[name]
 
 
-class _ValidationFailure(Exception):
-    """Invalid CLI input combination; reported on stderr with exit 2."""
-
-
 def _emit(lines: Iterable[str], output: str | None) -> None:
     """Write lines (each with its own newline) to --output or stdout."""
     if output:
@@ -82,18 +79,18 @@ def _emit(lines: Iterable[str], output: str | None) -> None:
 
 
 def _load_matrix(args: argparse.Namespace) -> TermDocumentMatrix:
-    if args.stopwords and args.format == "counts":
-        raise _ValidationFailure("--stopwords applies to tokenized input only (jsonl or textdir)")
-    stopwords = read_stopwords(args.stopwords) if args.stopwords else frozenset()
-    if args.format == "jsonl":
-        return ingest_text(read_corpus_jsonl(args.input), stopwords=stopwords)
-    if args.format == "textdir":
-        return ingest_text(read_text_dir(args.input), stopwords=stopwords)
-    rows = read_counts_csv(args.input)
+    if args.format == "counts":
+        if args.stopwords:
+            raise InputFormatError("--stopwords applies to tokenized input only (jsonl or textdir)")
+        rows, ingest = read_counts_csv(args.input), ingest_counts
+    else:
+        stopwords = read_stopwords(args.stopwords) if args.stopwords else frozenset()
+        rows = (read_corpus_jsonl if args.format == "jsonl" else read_text_dir)(args.input)
+        ingest = partial(ingest_text, stopwords=stopwords)
     try:
-        return ingest_counts(rows)
-    except DuplicateCellError as exc:
-        # the reader is paused at the repeated row; it raises the error at that row's line
+        return ingest(rows)
+    except (DuplicateCellError, DuplicateDocIdError) as exc:
+        # the reader is paused at the repeat; it raises the error at that row's line
         rows.throw(exc)
 
 
@@ -103,9 +100,7 @@ def _parse_schemes(raw: str | None) -> frozenset[str] | None:
     names = frozenset(name.strip() for name in raw.split(",") if name.strip())
     unknown = names - SCHEMES
     if unknown:
-        raise _ValidationFailure(
-            f"unknown schemes {sorted(unknown)}; valid: {sorted(SCHEMES)}"
-        )
+        raise InputFormatError(f"unknown schemes {sorted(unknown)}; valid: {sorted(SCHEMES)}")
     return names
 
 
@@ -145,7 +140,7 @@ def _weigh_lines(records: list[WeightRecord]) -> Iterator[str]:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     if args.top_k < 1:
-        raise _ValidationFailure("--top-k must be >= 1")
+        raise InputFormatError("--top-k must be >= 1")
     matrix = _load_matrix(args)
     scheme, field = RANK_SCHEMES[args.scheme]
     records = _weigh(args, matrix, {scheme})
@@ -185,7 +180,7 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
     try:
         return [ascii_int(part.strip()) for part in raw.split(",") if part.strip()]
     except ValueError:
-        raise _ValidationFailure(f"{flag} expects a comma-separated integer list") from None
+        raise InputFormatError(f"{flag} expects a comma-separated integer list") from None
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -278,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, _ValidationFailure) as exc:
+    except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TermfisherError as exc:

@@ -398,10 +398,10 @@ def read_counts_csv(path: str | Path) -> Generator[tuple[str, str, int], None, N
 
 def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
     """Yield (id, text) for each line of a corpus JSONL file: one object per
-    line with id and text, ids unique; the first fault in file order is
-    reported, at its line."""
+    line with id and text; the first fault in file order is reported, at its
+    line. A DuplicateDocIdError thrown in at a line's yield (ingest_text found
+    it repeats an id) is raised as InputFormatError at that line."""
     path = Path(path)
-    seen: set[str] = set()
     with open_text(path, None) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -421,11 +421,10 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
                     path=str(path),
                     line=lineno,
                 )
-            doc_id = _checked_name(obj["id"], "id", path, lineno)
-            if doc_id in seen:
-                raise InputFormatError(f"duplicate document id {doc_id!r}", path=str(path), line=lineno)
-            seen.add(doc_id)
-            yield doc_id, obj["text"]
+            try:
+                yield _checked_name(obj["id"], "id", path, lineno), obj["text"]
+            except DuplicateDocIdError as exc:
+                raise InputFormatError(str(exc), path=str(path), line=lineno) from None
 
 
 def read_text_dir(path: str | Path) -> Iterator[tuple[str, str]]:
@@ -433,20 +432,20 @@ def read_text_dir(path: str | Path) -> Iterator[tuple[str, str]]:
 
     A missing path or one that is not a directory raises the matching OSError
     on first iteration. A file name holding a tab, CR, LF or bytes that are
-    not UTF-8, or a second file of one stem (".txt" and ".txt.txt"), raises
-    InputFormatError at the directory.
+    not UTF-8 raises InputFormatError at the directory, and so does a
+    DuplicateDocIdError thrown in at a file's yield (ingest_text found a
+    second file of its stem, as ".txt" and ".txt.txt").
     """
     path = Path(path)
-    seen: set[str] = set()
     for name in sorted(os.listdir(path)):
         if name.endswith(".txt"):
             file = path / _checked_name(name, "file name", path, 0)
-            if file.stem in seen:
-                raise InputFormatError(f"duplicate document id {file.stem!r}", path=str(path))
-            seen.add(file.stem)
             with open_text(file, None) as handle:
                 text = handle.read()
-            yield file.stem, text
+            try:
+                yield file.stem, text
+            except DuplicateDocIdError as exc:
+                raise InputFormatError(str(exc), path=str(path)) from None
 
 
 def read_stopwords(path: str | Path) -> frozenset[str]:

@@ -46,8 +46,9 @@ class InvalidSyntheticSpecError(TermfisherError, ValueError):
 
 
 class InputFormatError(TermfisherError):
-    """Malformed input file; carries the offending line number (0 when the
-    fault is in no one line, such as a file name in a text directory)."""
+    """Malformed input file or invalid command-line flag; carries the offending
+    path and line number (no path for a flag, line 0 when the fault is in no
+    one line, such as a file name in a text directory)."""
 
     def __init__(self, message: str, *, path: str = "", line: int = 0):
         self.path = path

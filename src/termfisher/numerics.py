@@ -74,7 +74,8 @@ def log_choose(a: int, b: int) -> float:
     """ln C(a, b) for 0 <= b <= a; exactly symmetric in b <-> a - b.
 
     Stirling's formula plus its error terms: unlike a difference of three
-    log-factorials near a ln a, no large terms cancel.
+    log-factorials near a ln a, no large terms cancel. Arguments past the
+    float range raise OverflowError.
     """
     if b < 0 or b > a:
         raise InvalidChooseError(f"C({a}, {b}) is undefined")
@@ -82,7 +83,10 @@ def log_choose(a: int, b: int) -> float:
     if b == 0:
         return 0.0
     rest = a - b
-    stirling = b * log(a / b) + rest * log1p(b / rest) - 0.5 * log(2 * pi * b * rest / a)
+    spread = 2 * pi * b * rest  # a float product overflows to inf without raising
+    if spread == inf:
+        raise OverflowError(f"ln C({a}, {b}) is past the float range")
+    stirling = b * log(a / b) + rest * log1p(b / rest) - 0.5 * log(spread / a)
     return stirling + _stirling_error(a) - _stirling_error(b) - _stirling_error(rest)
 
 

@@ -356,10 +356,7 @@ def binomial_decay_check(p_i: float, k: int, s: int, Ns: Sequence[int]) -> Decay
             K = round(K_float)
             if abs(K_float - K) > 1e-9 or not 0 <= K <= N:
                 raise InvalidSyntheticSpecError(f"p_i * N = {K_float} is not a valid success count")
-            if k > s:
-                hyper = 0.0
-            else:
-                hyper = exp(log_hypergeom_pmf(HypergeomParams(k=k, K=K, s=min(s, N), N=N)))
+            hyper = exp(log_hypergeom_pmf(HypergeomParams(k=k, K=K, s=min(s, N), N=N)))
         except OverflowError:
             raise _too_large(N=N, s=s) from None
         cells.append((N, K, abs(hyper - binom)))

@@ -50,8 +50,9 @@ def _quotient(stats: CellStats, log_tail_past: float) -> float:
     p_i = stats.p_i
     if p_i <= 0.0 or p_i >= 1.0:
         raise UndefinedQuotientError("quotient requires 0 < p_i < 1")
+    log_mass = log_binom_pmf(stats.n_ij, stats.n_j, p_i)  # counts past the float range raise
     try:
-        return exp(log_tail_past - log_binom_pmf(stats.n_ij, stats.n_j, p_i))
+        return exp(log_tail_past - log_mass)
     except OverflowError:
         return inf  # a tail near 1 over a binomial mass far below exp(-709)
 

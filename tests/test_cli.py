@@ -855,6 +855,23 @@ class TestOutputFile:
         assert (code, out) == (2, "")
         assert target.read_bytes() == b"earlier\toutput\n"
 
+    @pytest.mark.parametrize(
+        "scheme, rows",
+        [("fisher", "a,d1,{n_1}\nb,d1,1\nc,d2,{n}\n"), ("phi", "a,d1,{n}\nb,d1,{n}\nc,d2,1\n")],
+        ids=["tail", "binomial"],
+    )
+    def test_counts_just_below_2_to_the_512_are_invalid_input(self, scheme, rows, tmp_path, capsys):
+        # ln C(a, b) with 2 pi b (a - b) past the float range: the tail of cell
+        # (b, d1), or the binomial mass of (a, d1), printed nan at exit 0
+        big = tmp_path / "big.csv"
+        n = 65 * 10**152
+        big.write_text("term,doc,count\n" + rows.format(n=n, n_1=n - 1), encoding="utf-8")
+        code, out, err = run_cli(
+            "weigh", "--schemes", scheme, "--input", str(big), "--format", "counts", capsys=capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {big}: counts too large for float arithmetic\n"
+
 
 class TestStartUp:
     """weigh and rank start without loading what only table and sweep run."""

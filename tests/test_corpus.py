@@ -532,6 +532,13 @@ class TestFileFormats:
         )
         assert list(read_corpus_jsonl(path)) == [("d1", "a b"), ("d2", "c")]
 
+    def test_jsonl_reader_leaves_a_repeated_id_to_ingest(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "x", "text": "a"}\n{"id": "x", "text": "b"}\n', encoding="utf-8")
+        assert list(read_corpus_jsonl(path)) == [("x", "a"), ("x", "b")]
+        with pytest.raises(DuplicateDocIdError, match="duplicate document id 'x'"):
+            ingest_text(read_corpus_jsonl(path))
+
     def test_jsonl_reader_rejects_bad_lines(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "d1", "text": "a"}\n{"id": 5, "text": "b"}\n', encoding="utf-8")
@@ -544,6 +551,14 @@ class TestFileFormats:
         (tmp_path / "a.txt").write_text("alpha", encoding="utf-8")
         (tmp_path / "ignored.md").write_text("nope", encoding="utf-8")
         assert list(read_text_dir(tmp_path)) == [("a", "alpha"), ("b", "beta")]
+
+    def test_text_dir_reader_leaves_a_repeated_stem_to_ingest(self, tmp_path):
+        # ".txt" and ".txt.txt" both have the stem ".txt"
+        (tmp_path / ".txt").write_text("alpha", encoding="utf-8")
+        (tmp_path / ".txt.txt").write_text("beta", encoding="utf-8")
+        assert list(read_text_dir(tmp_path)) == [(".txt", "alpha"), (".txt", "beta")]
+        with pytest.raises(DuplicateDocIdError, match="duplicate document id '.txt'"):
+            ingest_text(read_text_dir(tmp_path))
 
     def test_stopword_reader(self, tmp_path):
         path = tmp_path / "stop.txt"

@@ -68,6 +68,12 @@ class TestLogChoose:
         with pytest.raises(InvalidChooseError):
             log_choose(3, -1)
 
+    def test_past_the_float_range_raises(self):
+        # 2 pi b (a - b) overflows to inf below 2**512, where _stirling_error starts raising
+        assert log_choose(10**150, 5 * 10**149) > 0.0
+        with pytest.raises(OverflowError):
+            log_choose(13 * 10**153, 65 * 10**152)
+
     @given(st.integers(min_value=0, max_value=2000), st.data())
     def test_matches_integer_binomial(self, a, data):
         b = data.draw(st.integers(min_value=0, max_value=a))

@@ -1,11 +1,13 @@
 """Design rules on the package source, read from its syntax trees."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import termfisher
 
 PACKAGE = Path(termfisher.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -45,3 +47,27 @@ def test_every_exported_name_is_loaded_by_a_package_module():
 
 def test_numerics_imports_from_the_package_only_errors():
     assert _package_imports(_tree(PACKAGE / "numerics.py")) == {"termfisher.errors"}
+
+
+def _resolve(dotted: str) -> object:
+    """The object a dotted name such as termfisher.corpus.TermDocumentMatrix
+    names, importing each module on the way that is not yet imported."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[:i]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # the tracer only reports a name it cannot find, and its spans would then read 0
+    wrapped = next(
+        node.value
+        for node in _tree(TRACER).body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["WRAPPED"]
+    )
+    names = [(ast.unparse(entry.elts[0]), ast.literal_eval(entry.elts[1])) for entry in wrapped.elts]
+    assert names
+    assert [f"{owner}.{attr}" for owner, attr in names if not hasattr(_resolve(owner), attr)] == []
