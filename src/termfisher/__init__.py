@@ -24,6 +24,7 @@ from .numerics import (
     log_hypergeom_tail,
 )
 from .weights import (
+    RANK_SCHEMES,
     SCHEMES,
     WeightRecord,
     fisher_weight,
@@ -33,6 +34,7 @@ from .weights import (
     psi,
     q_ij,
     tfidf,
+    rank_matrix,
     tficf,
     weigh_matrix,
 )
@@ -51,6 +53,7 @@ __all__ = [
     "log_factorial",
     "log_hypergeom_pmf",
     "log_hypergeom_tail",
+    "RANK_SCHEMES",
     "SCHEMES",
     "WeightRecord",
     "fisher_weight",
@@ -59,6 +62,7 @@ __all__ = [
     "phi",
     "psi",
     "q_ij",
+    "rank_matrix",
     "tfidf",
     "tficf",
     "weigh_matrix",

@@ -8,13 +8,10 @@ for identical inputs and flags; diagnostics go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
-import heapq
 import sys
 from functools import partial
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .corpus import (
@@ -30,18 +27,9 @@ from .corpus import (
     read_text_dir,
 )
 from .errors import DuplicateCellError, DuplicateDocIdError, InputFormatError, TermfisherError
-from .weights import SCHEMES, WeightRecord, weigh_matrix
+from .weights import RANK_SCHEMES, SCHEMES, WeightRecord, rank_matrix, weigh_matrix
 
 TSV_COLUMNS = WeightRecord._fields[:-1]  # every field but notes
-
-# rank scheme -> (weigh_matrix scheme that computes it, WeightRecord field)
-RANK_SCHEMES = {
-    "tf": ("tf", "tf"), "idf": ("idf", "idf"), "icf": ("icf", "icf"),
-    "tfidf": ("tfidf", "tfidf"), "tficf": ("tficf", "tficf"),
-    "fisher": ("fisher", "neg_log_p"), "phi": ("phi", "phi"), "psi": ("psi", "psi"),
-    "thm1_approx": ("approximations", "thm1_approx"),
-    "cor1_approx": ("approximations", "cor1_approx"),
-}
 
 
 # What cli takes from verify, which only table and sweep use: it is imported and
@@ -104,21 +92,19 @@ def _parse_schemes(raw: str | None) -> frozenset[str] | None:
     return names
 
 
-def _weigh(
-    args: argparse.Namespace, matrix: TermDocumentMatrix, schemes: Iterable[str] | None,
-    include_zeros: bool = False,
-) -> list[WeightRecord]:
-    """weigh_matrix's records, all computed before any output opens, so that
-    counts past the float range of its arithmetic are invalid input."""
+def _computed(args: argparse.Namespace, compute: Callable[[], list]) -> list:
+    """compute's result, made in full before any output opens, so that counts
+    past the float range of its arithmetic are invalid input."""
     try:
-        return weigh_matrix(matrix, schemes, include_zeros=include_zeros)
+        return compute()
     except OverflowError:
         raise InputFormatError("counts too large for float arithmetic", path=args.input) from None
 
 
 def cmd_weigh(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args)
-    records = _weigh(args, matrix, _parse_schemes(args.schemes), args.include_zeros)
+    schemes = _parse_schemes(args.schemes)
+    records = _computed(args, partial(weigh_matrix, matrix, schemes, include_zeros=args.include_zeros))
     _emit(_weigh_lines(records), args.output)
     return 0
 
@@ -142,15 +128,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.top_k < 1:
         raise InputFormatError("--top-k must be >= 1")
     matrix = _load_matrix(args)
-    scheme, field = RANK_SCHEMES[args.scheme]
-    records = _weigh(args, matrix, {scheme})
+    ranking = _computed(args, partial(rank_matrix, matrix, args.scheme, args.top_k))
     lines = ["doc\trank\tterm\tscore\n"]
-    # records come document-major, so each document's cells are one run
-    for doc, run in groupby(records, key=attrgetter("doc")):
-        # the highest score first, ties by ascending term: the smallest (-score, term)
-        scored = ((-float(score), r.term) for r in run if (score := getattr(r, field)) is not None)
-        for rank, (neg_score, term) in enumerate(heapq.nsmallest(args.top_k, scored), start=1):
-            lines.append(f"{doc}\t{rank}\t{term}\t{-neg_score:.6f}\n")
+    for doc, top in ranking:
+        for rank, (term, score) in enumerate(top, start=1):
+            lines.append(f"{doc}\t{rank}\t{term}\t{score:.6f}\n")
     _emit(lines, args.output)
     return 0
 

@@ -3,13 +3,16 @@
 Covers the classical TF-IDF family, the enrichment weight -log H (negative
 log of the one-tailed Fisher's exact test p-value, i.e. the hypergeometric
 upper tail), and the correction terms that bridge the enrichment weight to
-TF-ICF and TF-IDF.
+TF-ICF and TF-IDF. `weigh_matrix` evaluates every cell of a matrix;
+`rank_matrix` keeps each document's top k under one scheme.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
+from heapq import nsmallest
 from math import exp, inf, log
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import CellStats, TermDocumentMatrix
 from .errors import UndefinedPhiError, UndefinedQuotientError
@@ -18,6 +21,15 @@ from .numerics import HypergeomParams, log_binom_pmf, log_hypergeom_tail
 SCHEMES = frozenset(
     {"tf", "idf", "icf", "tfidf", "tficf", "fisher", "phi", "psi", "approximations"}
 )
+
+# rank scheme -> (weigh_matrix scheme that computes it, WeightRecord field)
+RANK_SCHEMES = {
+    "tf": ("tf", "tf"), "idf": ("idf", "idf"), "icf": ("icf", "icf"),
+    "tfidf": ("tfidf", "tfidf"), "tficf": ("tficf", "tficf"),
+    "fisher": ("fisher", "neg_log_p"), "phi": ("phi", "phi"), "psi": ("psi", "psi"),
+    "thm1_approx": ("approximations", "thm1_approx"),
+    "cor1_approx": ("approximations", "cor1_approx"),
+}
 
 
 def idf(stats: CellStats) -> float:
@@ -163,6 +175,16 @@ def _cell_record(stats: CellStats, schemes: frozenset[str], memo: dict | None = 
     )
 
 
+def _key_parts(matrix: TermDocumentMatrix, selected: frozenset[str]) -> tuple[bool, Sequence[int]]:
+    """What a memo key holds besides n_ij and n_i: whether it holds n_j, and
+    each term's b_i (or 0) -- only the integers the selected schemes read. A
+    key must not outlive its call, since n and d are fixed only within one
+    matrix."""
+    reads_n_j = not selected.isdisjoint({"fisher", "phi", "psi", "approximations"})
+    reads_b_i = not selected.isdisjoint({"idf", "tfidf", "psi", "approximations"})
+    return reads_n_j, matrix.doc_freq if reads_b_i else (0,) * matrix.m
+
+
 def weigh_matrix(
     matrix: TermDocumentMatrix,
     schemes: Iterable[str] | None = None,
@@ -190,11 +212,7 @@ def weigh_matrix(
 
     vocab, docs = matrix.vocab, matrix.docs
     row_totals, col_totals = matrix.row_totals, matrix.col_totals
-    # the memo key holds only the integers the selected schemes read; it must
-    # not outlive the call, since n and d are fixed only within one matrix
-    reads_n_j = not selected.isdisjoint({"fisher", "phi", "psi", "approximations"})
-    reads_b_i = not selected.isdisjoint({"idf", "tfidf", "psi", "approximations"})
-    b_i_key = matrix.doc_freq if reads_b_i else (0,) * matrix.m
+    reads_n_j, b_i_key = _key_parts(matrix, selected)
     all_terms = range(matrix.m)
     make = WeightRecord._make
     memo: dict[tuple[int, int, int, int], tuple] = {}
@@ -217,3 +235,66 @@ def weigh_matrix(
                 tail = memo[key] = _cell_record(matrix.cell_stats(i, j), selected, log_choose_memo)
             records.append(make((vocab[i], doc, *tail)))
     return records
+
+
+def rank_matrix(
+    matrix: TermDocumentMatrix, scheme: str, top_k: int
+) -> list[tuple[str, list[tuple[str, float]]]]:
+    """Each document's top_k terms under one RANK_SCHEMES scheme.
+
+    One (doc, [(term, score), ...]) per document with a cell, in document
+    order: the highest score first, ties by ascending term, and a cell whose
+    value is None (NA) left out. A score is the float of the cell's
+    weigh_matrix value, evaluated once per distinct key as there.
+
+    Under fisher only the cells that can reach the top k are evaluated.
+    Within one document the weight -ln P(X >= n_ij) rises with n_ij and falls
+    with n_i, so a cell scores below each cell that dominates it: one with
+    n_ij' >= n_ij, n_i' <= n_i and another pair (n_ij', n_i'). A cell is not
+    evaluated when top_k evaluated cells that score above 0 dominate it.
+    Cells of one pair tie, and ties go by term, so they do not dominate each
+    other; nor does a cell whose score computes to 0 (its tail underflows),
+    since the cells below it can compute 0 as well. A cell at the lower
+    support edge (n_ij <= n_i + n_j - n) scores exactly 0 and is always
+    evaluated.
+    """
+    weighed, field = RANK_SCHEMES[scheme]
+    selected = frozenset({weighed})
+    at = WeightRecord._fields.index(field) - 2  # _cell_record starts at tf
+    prune = scheme == "fisher"
+    vocab, docs = matrix.vocab, matrix.docs
+    row_totals, col_totals = matrix.row_totals, matrix.col_totals
+    reads_n_j, b_i_key = _key_parts(matrix, selected)
+    memo: dict[tuple[int, int, int, int], float | None] = {}  # key -> -score, or None for NA
+    log_choose_memo: dict[tuple[int, int], float] = {}
+    ranking = []
+    for j, column in enumerate(matrix.columns):
+        n_j = col_totals[j]
+        if n_j == 0:
+            continue
+        n_j_key = n_j if reads_n_j else 0
+        edge = matrix.grand_total - n_j  # the lower support edge is n_i - edge
+        above: list[int] = []  # n_i of the evaluated cells of earlier pairs that score above 0, sorted
+        pair = None
+        dominated = False
+        scored = []
+        # by (-n_ij, n_i): the cells that dominate a cell all come before its pair
+        for neg_n_ij, n_i, i in sorted([(-n_ij, row_totals[i], i) for i, n_ij in column.items()]):
+            if pair != (neg_n_ij, n_i):
+                pair = (neg_n_ij, n_i)
+                dominated = prune and bisect_right(above, n_i) >= top_k and -neg_n_ij > n_i - edge
+            if dominated:
+                continue
+            key = (-neg_n_ij, n_i, n_j_key, b_i_key[i])
+            if key in memo:
+                neg = memo[key]
+            else:
+                value = _cell_record(matrix.cell_stats(i, j), selected, log_choose_memo)[at]
+                neg = memo[key] = None if value is None else -float(value)
+            if neg is not None:
+                scored.append((neg, vocab[i]))
+                if prune and neg < 0.0:
+                    insort(above, n_i)
+        # the highest score first, ties by ascending term: the smallest (-score, term)
+        ranking.append((docs[j], [(term, -neg) for neg, term in nsmallest(top_k, scored)]))
+    return ranking

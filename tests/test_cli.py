@@ -14,13 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import termfisher.weights
 from termfisher.cli import main
+from termfisher.corpus import ingest_counts, ingest_text, read_corpus_jsonl, read_counts_csv
 from termfisher.verify import VALIDATION_SETTINGS
+from termfisher.weights import RANK_SCHEMES, weigh_matrix
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 CORPUS = str(DATA / "corpus.jsonl")
 GOLDEN = (DATA / "golden_weigh.tsv").read_text(encoding="utf-8")
+GOLDEN_RANK = (DATA / "golden_rank.tsv").read_bytes()
 CASE1_CSV = str(DATA / "table4_case1.csv")
 
 
@@ -565,6 +569,158 @@ class TestRank:
         assert captured.out == ""
         assert captured.err.startswith("usage: termfisher rank ")
         assert "error: argument --top-k: invalid" in captured.err
+
+
+class TestRankPruning:
+    """rank --scheme fisher evaluates only the cells that can reach the top k."""
+
+    @staticmethod
+    def counting_kernel(monkeypatch):
+        calls = []
+        kernel = termfisher.weights.log_hypergeom_tail
+
+        def counting(params, memo=None):
+            calls.append(tuple(params))
+            return kernel(params, memo)
+
+        monkeypatch.setattr(termfisher.weights, "log_hypergeom_tail", counting)
+        return calls
+
+    def test_matches_golden_bytes(self, capsys):
+        code, out, err = run_cli(
+            "rank", "--input", CORPUS, "--format", "jsonl", "--top-k", "3", capsys=capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == GOLDEN_RANK
+
+    def test_kernel_calls_fall_to_the_undominated_keys(self, monkeypatch, capsys):
+        calls = self.counting_kernel(monkeypatch)
+        code, _, _ = run_cli(
+            "rank", "--input", CORPUS, "--format", "jsonl", "--top-k", "3", capsys=capsys
+        )
+        assert code == 0
+        # the oracle: count each cell's dominators over every other cell of its document
+        matrix = ingest_text(read_corpus_jsonl(CORPUS))
+        n = matrix.grand_total
+        every, undominated = set(), set()
+        for j, column in enumerate(matrix.columns):
+            n_j = matrix.col_totals[j]
+            cells = [(n_ij, matrix.row_totals[i]) for i, n_ij in column.items()]
+            for a, b in cells:
+                key = (a + 1, b, n_j, n)
+                every.add(key)
+                dominators = sum(a2 >= a and b2 <= b and (a2, b2) != (a, b) for a2, b2 in cells)
+                if dominators < 3 or a <= b + n_j - n:
+                    undominated.add(key)
+        assert (len(every), len(undominated)) == (14, 8)
+        assert sorted(calls) == sorted(undominated)
+
+    def test_cells_of_equal_key_tie_and_do_not_dominate_each_other(self, tmp_path, capsys):
+        corpus = tmp_path / "tie.jsonl"
+        corpus.write_text(
+            '{"id": "d1", "text": "zebra yak"}\n{"id": "d2", "text": "zebra yak"}\n',
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(
+            "rank", "--input", str(corpus), "--format", "jsonl", "--top-k", "1", capsys=capsys
+        )
+        assert code == 0
+        assert out == "doc\trank\tterm\tscore\nd1\t1\tyak\t0.182322\nd2\t1\tyak\t0.182322\n"
+
+    def test_a_dominator_whose_score_computes_to_0_does_not_count(self, tmp_path, capsys):
+        # in d1, a and z each fall about 25,000 below their expected count, so
+        # both tails underflow and both score 0.0; z and c dominate a, and the
+        # tie at 0.0 still goes by term
+        counts = tmp_path / "counts.csv"
+        counts.write_text(
+            "term,doc,count\nc,d1,100000\na,d1,1\nz,d1,2\na,d2,100000\nz,d2,99999\n", encoding="utf-8"
+        )
+        code, out, _ = run_cli(
+            "rank", "--input", str(counts), "--format", "counts", "--top-k", "2", capsys=capsys
+        )
+        assert code == 0
+        assert out.splitlines()[1:3] == ["d1\t1\tc\t190915.841667", "d1\t2\ta\t0.000000"]
+
+    def test_a_cell_at_the_lower_support_edge_is_evaluated(self, tmp_path, monkeypatch, capsys):
+        # (a, d1) has n_ij = n_i + n_j - n = 1, so it scores exactly 0; (z, d1)
+        # dominates it, and it is evaluated all the same
+        calls = self.counting_kernel(monkeypatch)
+        corpus = tmp_path / "edge.jsonl"
+        corpus.write_text('{"id": "d1", "text": "a z"}\n{"id": "d2", "text": "a"}\n', encoding="utf-8")
+        code, out, _ = run_cli(
+            "rank", "--input", str(corpus), "--format", "jsonl", "--top-k", "1", capsys=capsys
+        )
+        assert code == 0
+        assert out == "doc\trank\tterm\tscore\nd1\t1\tz\t0.405465\nd2\t1\ta\t0.405465\n"
+        assert sorted(calls) == [(2, 1, 2, 3), (2, 2, 1, 3), (2, 2, 2, 3)]
+
+    @pytest.mark.parametrize(
+        "count, code, out",
+        [
+            (2**512, 2, ""),
+            (65 * 10**152, 0, "doc\trank\tterm\tscore\nd1\t1\tb\t353.474174\nd2\t1\ta\t353.474174\n"),
+        ],
+        ids=["past", "below"],
+    )
+    def test_a_dominated_huge_cell_leaves_the_float_range_verdict(self, count, code, out, tmp_path, capsys):
+        # (a, d1) has n_i = count + 1, and (b, d1) dominates it, so it is not
+        # evaluated; (b, d1) computes ln C(n, n_j) with the same n
+        big = tmp_path / "big.csv"
+        big.write_text(f"term,doc,count\na,d1,1\nb,d1,1\na,d2,{count}\n", encoding="utf-8")
+        target = tmp_path / "out.tsv"
+        target.write_bytes(b"earlier\toutput\n")
+        argv = ["rank", "--input", str(big), "--format", "counts", "--top-k", "1"]
+        assert run_cli(*argv, capsys=capsys)[:2] == (code, out)
+        assert run_cli(*argv, "--output", str(target), capsys=capsys)[:2] == (code, "")
+        assert target.read_text(encoding="utf-8") == (out or "earlier\toutput\n")
+
+    def test_a_score_past_the_float_range_is_invalid_input(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text(f"term,doc,count\na,d1,{10**400}\nb,d1,1\n", encoding="utf-8")
+        code, out, err = run_cli(
+            "rank", "--scheme", "tf", "--input", str(big), "--format", "counts", "--top-k", "1",
+            capsys=capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {big}: counts too large for float arithmetic\n"
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from("abcdef"),
+                st.sampled_from(["d1", "d2", "d3", "d4"]),
+                st.one_of(st.integers(1, 4), st.integers(1, 400_000)),
+            ),
+            min_size=1, max_size=24, unique_by=lambda cell: cell[:2],
+        ),
+        top_k=st.integers(1, 8),
+        scheme=st.sampled_from(sorted(RANK_SCHEMES)),
+    )
+    def test_prints_the_bytes_of_sorting_every_weighed_cell(self, cells, top_k, scheme):
+        # at most 24 cells of at most 400,000 each: N <= 10**7
+        weighed, field = RANK_SCHEMES[scheme]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "counts.csv")
+            Path(path).write_text(
+                "term,doc,count\n" + "".join(f"{t},{d},{c}\n" for t, d, c in cells), encoding="utf-8"
+            )
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["rank", "--scheme", scheme, "--input", path, "--format", "counts",
+                             "--top-k", str(top_k)])
+            records = weigh_matrix(ingest_counts(read_counts_csv(path)), {weighed})
+        expected = ["doc\trank\tterm\tscore\n"]
+        by_doc: dict[str, list] = {}
+        for record in records:
+            value = getattr(record, field)
+            if value is not None:
+                by_doc.setdefault(record.doc, []).append((-float(value), record.term))
+        for doc, scored in by_doc.items():
+            for rank, (neg, term) in enumerate(sorted(scored)[:top_k], start=1):
+                expected.append(f"{doc}\t{rank}\t{term}\t{-neg:.6f}\n")
+        assert code == 0
+        assert out.getvalue() == "".join(expected)
 
 
 class TestTable:
