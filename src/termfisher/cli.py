@@ -11,7 +11,7 @@ import argparse
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import __version__
 from .corpus import (
@@ -27,6 +27,7 @@ from .corpus import (
     read_text_dir,
 )
 from .errors import DuplicateCellError, DuplicateDocIdError, InputFormatError, TermfisherError
+from .numerics import COUNT_LIMIT
 from .weights import RANK_SCHEMES, SCHEMES, WeightRecord, rank_matrix, weigh_matrix
 
 TSV_COLUMNS = WeightRecord._fields[:-1]  # every field but notes
@@ -76,10 +77,15 @@ def _load_matrix(args: argparse.Namespace) -> TermDocumentMatrix:
         rows = (read_corpus_jsonl if args.format == "jsonl" else read_text_dir)(args.input)
         ingest = partial(ingest_text, stopwords=stopwords)
     try:
-        return ingest(rows)
+        matrix = ingest(rows)
     except (DuplicateCellError, DuplicateDocIdError) as exc:
         # the reader is paused at the repeat; it raises the error at that row's line
         rows.throw(exc)
+    # below COUNT_LIMIT no cell's arithmetic leaves the float range, so the
+    # verdict is taken from n before any cell is evaluated and output can stream
+    if matrix.grand_total >= COUNT_LIMIT:
+        raise InputFormatError("counts too large for float arithmetic", path=args.input)
+    return matrix
 
 
 def _parse_schemes(raw: str | None) -> frozenset[str] | None:
@@ -92,24 +98,14 @@ def _parse_schemes(raw: str | None) -> frozenset[str] | None:
     return names
 
 
-def _computed(args: argparse.Namespace, compute: Callable[[], list]) -> list:
-    """compute's result, made in full before any output opens, so that counts
-    past the float range of its arithmetic are invalid input."""
-    try:
-        return compute()
-    except OverflowError:
-        raise InputFormatError("counts too large for float arithmetic", path=args.input) from None
-
-
 def cmd_weigh(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args)
-    schemes = _parse_schemes(args.schemes)
-    records = _computed(args, partial(weigh_matrix, matrix, schemes, include_zeros=args.include_zeros))
+    records = weigh_matrix(matrix, _parse_schemes(args.schemes), include_zeros=args.include_zeros)
     _emit(_weigh_lines(records), args.output)
     return 0
 
 
-def _weigh_lines(records: list[WeightRecord]) -> Iterator[str]:
+def _weigh_lines(records: Iterable[WeightRecord]) -> Iterator[str]:
     """The TSV lines: tf as an integer, each value with six decimals or NA."""
     yield "\t".join(TSV_COLUMNS) + "\n"
     # cells that share a key share every field from tf on, so each distinct
@@ -128,7 +124,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.top_k < 1:
         raise InputFormatError("--top-k must be >= 1")
     matrix = _load_matrix(args)
-    ranking = _computed(args, partial(rank_matrix, matrix, args.scheme, args.top_k))
+    ranking = rank_matrix(matrix, args.scheme, args.top_k)
     lines = ["doc\trank\tterm\tscore\n"]
     for doc, top in ranking:
         for rank, (term, score) in enumerate(top, start=1):

@@ -17,7 +17,7 @@ from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from types import MappingProxyType
-from typing import Collection, Generator, Iterable, Iterator, Mapping, NamedTuple, TextIO
+from typing import Generator, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .errors import (
     DuplicateCellError,
@@ -102,19 +102,19 @@ class TermDocumentMatrix:
     builds the matrix); documents are retained even when empty (they still
     count toward d). Counts are stored by column: per document, a read-only
     map from term index to positive count, in ascending term order. The
-    constructor takes the same shape, one mapping per document from term
-    index to count, and copies each column sorted, without its zeros.
+    constructor takes the same shape, any iterable of one mapping per
+    document from term index to count; it draws them one at a time and
+    copies each column sorted, without its zeros, so a caller that hands
+    over an iterator can free each mapping once it is copied.
     """
 
-    def __init__(self, vocab: Iterable[str], docs: Iterable[str], columns: Collection[Mapping[int, int]]):
+    def __init__(self, vocab: Iterable[str], docs: Iterable[str], columns: Iterable[Mapping[int, int]]):
         self._vocab: tuple[str, ...] = tuple(vocab)
         self._docs: tuple[str, ...] = tuple(docs)
 
         m, d = len(self._vocab), len(self._docs)
         if m < 1 or d < 1:
             raise EmptyCollectionError("matrix must contain at least one term and one document")
-        if len(columns) != d:
-            raise IndexOutOfRangeError(f"{len(columns)} columns for {d} documents")
         row = [0] * m
         freq = [0] * m
         stored = []
@@ -130,6 +130,8 @@ class TermDocumentMatrix:
                     row[i] += c
                     freq[i] += 1
             stored.append(MappingProxyType({i: c for i, c in cells if c}))
+        if len(stored) != d:
+            raise IndexOutOfRangeError(f"{len(stored)} columns for {d} documents")
         if 0 in row:
             raise EmptyCollectionError("every retained term must have a positive total")
         self._columns = tuple(stored)
@@ -240,7 +242,8 @@ def ingest_text(
         raise EmptyCollectionError("no documents provided")
     if not terms:
         raise EmptyCollectionError("no tokens survived tokenization")
-    return TermDocumentMatrix(terms, docs, docs.values())
+    ids = tuple(docs)
+    return TermDocumentMatrix(terms, ids, (docs.pop(doc) for doc in ids))  # each column freed once copied
 
 
 def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
@@ -275,29 +278,38 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
     kept = [i for i, total in enumerate(totals) if total > 0]
     if not kept:
         raise EmptyCollectionError("all terms have zero total count")
+    ids = tuple(docs)
+    columns = (docs.pop(doc) for doc in ids)  # each column freed once copied
     if len(kept) == len(totals):
-        return TermDocumentMatrix(terms, docs, docs.values())
+        return TermDocumentMatrix(terms, ids, columns)
     # renumber; the matrix itself drops zero cells
     remap = {i: new_i for new_i, i in enumerate(kept)}
-    columns = [{remap[i]: c for i, c in column.items() if i in remap} for column in docs.values()]
-    return TermDocumentMatrix([t for t, i in terms.items() if totals[i]], docs, columns)
+    renumbered = ({remap[i]: c for i, c in column.items() if i in remap} for column in columns)
+    return TermDocumentMatrix([t for t, i in terms.items() if totals[i]], ids, renumbered)
 
 
 # -- file formats -------------------------------------------------------------
 
 
 @contextmanager
-def open_text(path: str | Path, newline: str | None) -> Iterator[TextIO]:
-    """Open UTF-8 text (newline as in open()); non-UTF-8 bytes raise InputFormatError."""
+def open_text(path: str | Path, newline: str | None) -> Iterator[Iterator[str]]:
+    """The lines of a UTF-8 text file (newline as in open()), each checked as it
+    is read: the first line that holds bytes that are not UTF-8 raises
+    InputFormatError at that line, so a fault on an earlier line is met first."""
     path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8", newline=newline) as handle:
-            yield handle
-    except UnicodeDecodeError as exc:
-        # surrogateescape turns each undecodable byte into a lone surrogate
-        text = path.read_bytes().decode("utf-8", "surrogateescape")
-        line = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
-        raise InputFormatError(f"invalid UTF-8: {exc.reason}", path=str(path), line=line) from None
+    # surrogateescape turns each undecodable byte into a lone surrogate
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline=newline) as handle:
+        yield _utf8_lines(handle, path)
+
+
+def _utf8_lines(handle: TextIO, path: Path) -> Iterator[str]:
+    for lineno, line in enumerate(handle, start=1):
+        if not line.isascii():
+            try:  # the line's bytes again, decoded strictly
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputFormatError(f"invalid UTF-8: {exc.reason}", path=str(path), line=lineno) from None
+        yield line
 
 
 def _checked_name(name: str, what: str, path: Path, line: int) -> str:
@@ -324,8 +336,8 @@ def csv_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, l
     line it starts on (a quoted field may hold a newline, so records and lines
     can differ). A wrong header, or a record the csv module cannot read, raises
     InputFormatError at its line, naming path as the caller passed it."""
-    with open_text(path, "") as handle:
-        reader = csv.reader(handle)
+    with open_text(path, "") as lines:
+        reader = csv.reader(lines)
         line = 1
         try:
             first = next(reader, None)
@@ -402,8 +414,8 @@ def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
     line. A DuplicateDocIdError thrown in at a line's yield (ingest_text found
     it repeats an id) is raised as InputFormatError at that line."""
     path = Path(path)
-    with open_text(path, None) as handle:
-        for lineno, line in enumerate(handle, start=1):
+    with open_text(path, None) as lines:
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -440,8 +452,8 @@ def read_text_dir(path: str | Path) -> Iterator[tuple[str, str]]:
     for name in sorted(os.listdir(path)):
         if name.endswith(".txt"):
             file = path / _checked_name(name, "file name", path, 0)
-            with open_text(file, None) as handle:
-                text = handle.read()
+            with open_text(file, None) as lines:
+                text = "".join(lines)
             try:
                 yield file.stem, text
             except DuplicateDocIdError as exc:
@@ -451,8 +463,8 @@ def read_text_dir(path: str | Path) -> Iterator[tuple[str, str]]:
 def read_stopwords(path: str | Path) -> frozenset[str]:
     """One stopword per line; blanks skipped; lowercased to match tokenization."""
     words = set()
-    with open_text(path, None) as handle:
-        for line in handle:
+    with open_text(path, None) as lines:
+        for line in lines:
             word = line.strip().lower()
             if word:
                 words.add(word)

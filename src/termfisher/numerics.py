@@ -13,7 +13,7 @@ The tail's pmf anchor is ln C(K, x) + ln C(N - K, s - x) - ln C(N, s). Over a
 batch of tails from one collection, ln C(N, s) repeats per document and
 ln C(K, x) per term, so `log_hypergeom_tail` takes an optional memo dict,
 (a, b) -> ln C(a, b), for those two; the caller keeps it for one batch (a
-`weigh_matrix` call) and drops it after. Each value is a pure function of
+`weigh_matrix` iterator) and drops it after. Each value is a pure function of
 its key, so a result does not depend on whether or what memo is passed.
 Error budget, checked in the tests against exact big-integer sums over
 populations up to 10**7 with n_j <= 300: -ln P(X >= k) within 1e-11
@@ -68,6 +68,19 @@ def _stirling_error(n: int) -> float:
         return log_factorial(n) - (n + 0.5) * log(n) + n - _HALF_LN_2PI
     nn = n * n
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+COUNT_LIMIT = 10**154
+"""The bound on a collection's total n below which no weight leaves the float range.
+
+Every count of such a collection is below 10**154 and so converts to float,
+and every product of two counts is below 10**308, under the largest double
+(about 1.797 * 10**308), so it converts too: `_stirling_error`'s n * n and
+the ratio terms of the tail series. The one product of counts formed in
+floats is log_choose's 2 pi b (a - b), and b (a - b) peaks at b = a / 2, so
+it is at most (pi / 2) a**2 < 1.58 * 10**308 and stays finite. So no weight
+of a collection with n < COUNT_LIMIT raises OverflowError, and the CLI
+rejects a collection with n >= COUNT_LIMIT before it evaluates any cell."""
 
 
 def log_choose(a: int, b: int) -> float:

@@ -3,8 +3,8 @@
 Covers the classical TF-IDF family, the enrichment weight -log H (negative
 log of the one-tailed Fisher's exact test p-value, i.e. the hypergeometric
 upper tail), and the correction terms that bridge the enrichment weight to
-TF-ICF and TF-IDF. `weigh_matrix` evaluates every cell of a matrix;
-`rank_matrix` keeps each document's top k under one scheme.
+TF-ICF and TF-IDF. `weigh_matrix` yields the record of every cell of a
+matrix; `rank_matrix` keeps each document's top k under one scheme.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from heapq import nsmallest
 from math import exp, inf, log
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import CellStats, TermDocumentMatrix
 from .errors import UndefinedPhiError, UndefinedQuotientError
@@ -190,17 +190,20 @@ def weigh_matrix(
     schemes: Iterable[str] | None = None,
     *,
     include_zeros: bool = False,
-) -> list[WeightRecord]:
-    """Compute one WeightRecord per nonzero cell (all cells with include_zeros).
+) -> Iterator[WeightRecord]:
+    """An iterator of one WeightRecord per nonzero cell (all cells with
+    include_zeros); the schemes are checked when it is made.
 
-    Records are ordered document-major, then by term index. Within one matrix
-    (n and d fixed) a cell's values depend only on n_ij, n_i, and, if a
-    selected scheme reads them, n_j (fisher, phi, psi, approximations) and b_i
-    (idf, tfidf, psi, approximations). Cells that share those integers share
-    their values, so the tail and every other scheme are evaluated once per
-    distinct key, not once per cell. Per-cell preconditions that fail (e.g.
-    phi at tf = 0, q when the term saturates the collection) leave the
-    affected fields as None with a note; the batch never aborts.
+    Records are ordered document-major, then by term index, and each is made
+    when it is drawn, so a caller that keeps none holds one at a time. Within
+    one matrix (n and d fixed) a cell's values depend only on n_ij, n_i, and,
+    if a selected scheme reads them, n_j (fisher, phi, psi, approximations)
+    and b_i (idf, tfidf, psi, approximations). Cells that share those integers
+    share their values, so the tail and every other scheme are evaluated once
+    per distinct key, not once per cell; the memos live as long as the
+    iterator. Per-cell preconditions that fail (e.g. phi at tf = 0, q when the
+    term saturates the collection) leave the affected fields as None with a
+    note; the batch never aborts.
     """
     if schemes is None:
         selected = SCHEMES
@@ -209,7 +212,12 @@ def weigh_matrix(
         unknown = selected - SCHEMES
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
+    return _weigh_cells(matrix, selected, include_zeros)
 
+
+def _weigh_cells(
+    matrix: TermDocumentMatrix, selected: frozenset[str], include_zeros: bool
+) -> Iterator[WeightRecord]:
     vocab, docs = matrix.vocab, matrix.docs
     row_totals, col_totals = matrix.row_totals, matrix.col_totals
     reads_n_j, b_i_key = _key_parts(matrix, selected)
@@ -217,7 +225,6 @@ def weigh_matrix(
     make = WeightRecord._make
     memo: dict[tuple[int, int, int, int], tuple] = {}
     log_choose_memo: dict[tuple[int, int], float] = {}  # the kernel's, for this matrix's tails
-    records = []
     for j, column in enumerate(matrix.columns):
         n_j = col_totals[j]
         if n_j == 0:
@@ -233,8 +240,7 @@ def weigh_matrix(
             tail = memo.get(key)
             if tail is None:
                 tail = memo[key] = _cell_record(matrix.cell_stats(i, j), selected, log_choose_memo)
-            records.append(make((vocab[i], doc, *tail)))
-    return records
+            yield make((vocab[i], doc, *tail))
 
 
 def rank_matrix(
@@ -256,7 +262,8 @@ def rank_matrix(
     other; nor does a cell whose score computes to 0 (its tail underflows),
     since the cells below it can compute 0 as well. A cell at the lower
     support edge (n_ij <= n_i + n_j - n) scores exactly 0 and is always
-    evaluated.
+    evaluated. The other schemes evaluate every cell, in column order: only
+    the dominance walk needs the cells sorted, and the heap orders the scores.
     """
     weighed, field = RANK_SCHEMES[scheme]
     selected = frozenset({weighed})
@@ -278,8 +285,10 @@ def rank_matrix(
         pair = None
         dominated = False
         scored = []
-        # by (-n_ij, n_i): the cells that dominate a cell all come before its pair
-        for neg_n_ij, n_i, i in sorted([(-n_ij, row_totals[i], i) for i, n_ij in column.items()]):
+        cells = [(-n_ij, row_totals[i], i) for i, n_ij in column.items()]
+        if prune:
+            cells.sort()  # by (-n_ij, n_i): the cells that dominate a cell all come before its pair
+        for neg_n_ij, n_i, i in cells:
             if pair != (neg_n_ij, n_i):
                 pair = (neg_n_ij, n_i)
                 dominated = prune and bisect_right(above, n_i) >= top_k and -neg_n_ij > n_i - edge

@@ -18,7 +18,7 @@ import termfisher.weights
 from termfisher.cli import main
 from termfisher.corpus import ingest_counts, ingest_text, read_corpus_jsonl, read_counts_csv
 from termfisher.verify import VALIDATION_SETTINGS
-from termfisher.weights import RANK_SCHEMES, weigh_matrix
+from termfisher.weights import RANK_SCHEMES, WeightRecord, weigh_matrix
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -49,6 +49,32 @@ class TestWeigh:
         assert code == 0
         assert out == ""
         assert target.read_text(encoding="utf-8") == GOLDEN
+
+    def test_each_line_is_written_before_the_next_record_is_made(self, monkeypatch):
+        made = []
+        make = WeightRecord._make
+
+        def counting_make(values):
+            made.append(None)
+            return make(values)
+
+        written = []  # (line, records made when it was written)
+
+        class RecordingStdout:
+            def write(self, text):
+                written.append((text, len(made)))
+                return len(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        monkeypatch.setattr(WeightRecord, "_make", staticmethod(counting_make))
+        monkeypatch.setattr(sys, "stdout", RecordingStdout())
+        assert main(["weigh", "--input", CORPUS, "--format", "jsonl"]) == 0
+        assert "".join(line for line, _ in written) == GOLDEN
+        # the header before any record, then line k once k records are made
+        assert [count for _, count in written] == list(range(len(written)))
 
     def test_repeated_runs_are_byte_identical(self, capsys):
         _, first, _ = run_cli("weigh", "--input", CORPUS, "--format", "jsonl", capsys=capsys)
@@ -221,6 +247,29 @@ class TestInvalidUtf8:
         bad.write_bytes(b"n,n_i,n_j,n_ij\n1000000,500,200,20\n" + self.BAD + b"\n")
         code, _, err = run_cli("sweep", "--grid-file", str(bad), capsys=capsys)
         self.assert_reported(code, err, bad, 3)
+
+
+    def test_jsonl_fault_before_the_bytes_on_a_later_line_comes_first(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{bad\n{"id":"x","text":"' + self.BAD + b'"}\n')
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "jsonl", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}:1: invalid JSON")
+
+    def test_counts_csv_fault_before_the_bytes_on_a_later_line_comes_first(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"term,doc,count\na,d1,x\n" + self.BAD + b",d1,2\n")
+        code, out, err = run_cli("weigh", "--input", str(bad), "--format", "counts", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}:2: count 'x' is not an integer\n"
+
+    def test_the_reason_is_that_of_the_lines_bytes(self, tmp_path, capsys):
+        # a three-byte sequence cut short by the line's end
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": "a", "text": "ok"}\n\xe2\x82\n')
+        code, _, err = run_cli("weigh", "--input", str(bad), "--format", "jsonl", capsys=capsys)
+        assert code == 2
+        assert err == f"error: {bad}:2: invalid UTF-8: invalid continuation byte\n"
 
 
 class TestRepeatedKeys:
@@ -1027,6 +1076,42 @@ class TestOutputFile:
         )
         assert (code, out) == (2, "")
         assert err == f"error: {big}: counts too large for float arithmetic\n"
+
+    # n = 10**154 - 1 or 10**154, with d1 holding about n / 2, so ln C(n, n_j)
+    # is as near the float range as a collection below the bound takes it
+    @staticmethod
+    def boundary_counts(tmp_path, n):
+        half = (n - 1) // 2
+        path = tmp_path / "boundary.csv"
+        path.write_text(f"term,doc,count\na,d1,{half}\nb,d1,1\nc,d2,{n - half - 1}\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("weigh",), *(("rank", "--scheme", scheme, "--top-k", "2") for scheme in sorted(RANK_SCHEMES))],
+        ids=lambda argv: "-".join(argv[:3:2]),
+    )
+    def test_counts_just_below_the_bound_are_weighed(self, argv, tmp_path, capsys):
+        path = self.boundary_counts(tmp_path, 10**154 - 1)
+        code, out, err = run_cli(*argv, "--input", str(path), "--format", "counts", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert "nan" not in out
+        assert len(out.splitlines()) == 4  # the header and a line per cell
+
+    @pytest.mark.parametrize(
+        "argv", [("weigh",), ("weigh", "--schemes", "tf,tfidf"), ("rank", "--top-k", "2")],
+        ids=["weigh", "weigh-tf-tfidf", "rank"],
+    )
+    def test_counts_at_the_bound_are_invalid_input(self, argv, tmp_path, capsys):
+        path = self.boundary_counts(tmp_path, 10**154)
+        argv = [*argv, "--input", str(path), "--format", "counts"]
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: counts too large for float arithmetic\n"
+        target = tmp_path / "out.tsv"
+        target.write_bytes(b"earlier\toutput\n")
+        assert run_cli(*argv, "--output", str(target), capsys=capsys)[:2] == (2, "")
+        assert target.read_bytes() == b"earlier\toutput\n"
 
 
 class TestStartUp:

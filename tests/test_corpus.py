@@ -323,6 +323,19 @@ class TestMatrixInvariants:
         with pytest.raises(IndexOutOfRangeError):
             TermDocumentMatrix(("a",), ("d1",), [{0: 1}, {0: 1}])
 
+    def test_columns_from_a_one_shot_iterator(self):
+        columns = [{2: 3, 1: 0, 0: 2}, {}, {1: 5}]
+        built = TermDocumentMatrix(("a", "b", "c"), ("d1", "d2", "d3"), iter(columns))
+        assert built == TermDocumentMatrix(("a", "b", "c"), ("d1", "d2", "d3"), columns)
+        assert built.row_totals == (2, 5, 3)
+        assert built.col_totals == (5, 0, 5)
+
+    @pytest.mark.parametrize("count", [1, 3, 4], ids=["too-few", "one-too-many", "two-too-many"])
+    def test_a_one_shot_iterator_of_the_wrong_length(self, count):
+        columns = [{0: 1}] * count
+        with pytest.raises(IndexOutOfRangeError, match=f"^{count} columns for 2 documents$"):
+            TermDocumentMatrix(("a",), ("d1", "d2"), iter(columns))
+
     def test_columns_are_read_only(self):
         matrix = ingest_text([("d1", "a b a")])
         with pytest.raises(TypeError):

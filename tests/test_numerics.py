@@ -13,6 +13,7 @@ from exact_refs import chvatal_log_bound, log_sum_exp, neg_log_tail, pmf_fractio
 from termfisher.corpus import CellStats
 from termfisher.errors import InvalidChooseError, InvalidProbabilityError
 from termfisher.numerics import (
+    COUNT_LIMIT,
     NEG_INFINITY,
     HypergeomParams,
     log_binom_pmf,
@@ -73,6 +74,12 @@ class TestLogChoose:
         assert log_choose(10**150, 5 * 10**149) > 0.0
         with pytest.raises(OverflowError):
             log_choose(13 * 10**153, 65 * 10**152)
+
+    def test_every_argument_below_the_count_limit_is_in_float_range(self):
+        # the largest spread: a just below the bound, b at a / 2
+        a = COUNT_LIMIT - 1
+        for b in (1, a // 2, a - 1):
+            assert 0.0 < log_choose(a, b) < inf
 
     @given(st.integers(min_value=0, max_value=2000), st.data())
     def test_matches_integer_binomial(self, a, data):

@@ -182,7 +182,7 @@ class TestWeighMatrix:
 
     def test_ordering_is_doc_major_then_term_index(self):
         matrix = ingest_text([("d1", "b a"), ("d2", "c b")])
-        records = weigh_matrix(matrix)
+        records = list(weigh_matrix(matrix))
         assert [(r.doc, r.term) for r in records] == [
             ("d1", "b"),
             ("d1", "a"),
@@ -192,7 +192,7 @@ class TestWeighMatrix:
 
     def test_scheme_selection_leaves_other_fields_absent(self):
         matrix = ingest_text([("d1", "a a b"), ("d2", "b c")])
-        records = weigh_matrix(matrix, {"tfidf"})
+        records = list(weigh_matrix(matrix, {"tfidf"}))
         assert all(r.tfidf is not None for r in records)
         assert all(r.neg_log_p is None and r.q is None for r in records)
 
@@ -203,7 +203,7 @@ class TestWeighMatrix:
 
     def test_zero_cells_on_request(self):
         matrix = ingest_text([("d1", "a a b"), ("d2", "b c")])
-        records = weigh_matrix(matrix, include_zeros=True)
+        records = list(weigh_matrix(matrix, include_zeros=True))
         zero = next(r for r in records if r.term == "a" and r.doc == "d2")
         assert zero.tf == 0
         assert zero.tfidf == 0.0
@@ -221,7 +221,7 @@ class TestWeighMatrix:
 
     def test_determinism(self):
         matrix = ingest_text([("d1", "a a b"), ("d2", "b c")])
-        assert weigh_matrix(matrix) == weigh_matrix(matrix)
+        assert list(weigh_matrix(matrix)) == list(weigh_matrix(matrix))
 
     def test_one_tail_evaluation_per_cell(self, monkeypatch):
         calls = []
@@ -235,7 +235,7 @@ class TestWeighMatrix:
         matrix = ingest_text(
             [("d1", "apple apple apple pear plum"), ("d2", "pear pear plum quince")]
         )
-        records = weigh_matrix(matrix)
+        records = list(weigh_matrix(matrix))
         assert len(calls) == len(records) == sum(matrix.doc_freq)
 
 
@@ -295,7 +295,7 @@ def assert_matches_cell_by_cell(matrix, include_zeros, schemes=None):
     ]
     if schemes is not None:
         expected = [restrict(record, schemes) for record in expected]
-    records = weigh_matrix(matrix, schemes, include_zeros=include_zeros)
+    records = list(weigh_matrix(matrix, schemes, include_zeros=include_zeros))
     assert records == expected
     assert [r.notes for r in records] == [r.notes for r in expected]
 
@@ -367,7 +367,7 @@ class TestWeighMatrixMemo:
     def test_cells_that_differ_only_in_document_length(self, scheme, field):
         # ("a", "d1") and ("a", "d2") share n_ij = 1, n_i = 2, b_i = 2; n_j is 1 and 4
         matrix = ingest_counts([("a", "d1", 1), ("a", "d2", 1), ("b", "d2", 3)])
-        first, second = weigh_matrix(matrix, {scheme})[:2]
+        first, second = list(weigh_matrix(matrix, {scheme}))[:2]
         assert (first.doc, second.doc) == ("d1", "d2")
         assert getattr(first, field) != getattr(second, field)
         assert_matches_cell_by_cell(matrix, False, {scheme})
@@ -384,7 +384,7 @@ class TestWeighMatrixMemo:
         monkeypatch.setattr(TermDocumentMatrix, "cell_stats", counting)
         # documents of lengths 2, 3 and 2: tfidf and tficf do not read n_j
         matrix = ingest_text([("d1", "a b"), ("d2", "a b c"), ("d3", "c c")])
-        records = weigh_matrix(matrix, {"tfidf", "tficf"})
+        records = list(weigh_matrix(matrix, {"tfidf", "tficf"}))
         stats = [cell_stats(matrix, i, j) for j, column in enumerate(matrix.columns) for i in column]
         assert len(calls) == len({(s.n_ij, s.n_i, s.b_i) for s in stats}) == 3
         assert len({(s.n_ij, s.n_i, s.n_j, s.b_i) for s in stats}) == 4
@@ -401,9 +401,9 @@ class TestWeighMatrixMemo:
 
             monkeypatch.setattr(termfisher.weights, name, counting)
         matrix = ingest_text([("d1", "a b a"), ("d2", "a b c"), ("d3", "c c b")])
-        weigh_matrix(matrix, {"fisher"})
+        list(weigh_matrix(matrix, {"fisher"}))
         assert calls == {"idf": [], "icf": []}
-        records = weigh_matrix(matrix, {"tfidf"})
+        records = list(weigh_matrix(matrix, {"tfidf"}))
         keys = {
             (s.n_ij, s.n_i, s.b_i)
             for s in (matrix.cell_stats(i, j) for j, column in enumerate(matrix.columns) for i in column)
@@ -436,7 +436,7 @@ class TestWeighMatrixMemo:
         matrix = ingest_text(
             [("d1", "apple apple apple pear plum"), ("d2", "pear pear plum quince"), ("d3", "fig")]
         )
-        weigh_matrix(matrix, include_zeros=True)
+        list(weigh_matrix(matrix, include_zeros=True))
         assert pmf_calls, "no anchor counted: the kernel no longer evaluates through _log_pmf"
         assert per_kernel_call and max(per_kernel_call) <= 1
         assert len(pmf_calls) <= len(per_kernel_call)
@@ -454,7 +454,7 @@ class TestWeighMatrixMemo:
         matrix = ingest_text(
             [("d1", "a b"), ("d2", "c d"), ("d3", "e f"), ("d4", "g h"), ("d5", "a a c")]
         )
-        records = weigh_matrix(matrix)
+        records = list(weigh_matrix(matrix))
         keys = set()
         for j, column in enumerate(matrix.columns):
             for i in column:
@@ -469,7 +469,7 @@ class TestWeighMatrixMemo:
         small = ingest_counts(base)
         larger_n = ingest_counts(base + [("c", "d2", 2)])
         larger_d = ingest_counts(base + [("a", "d2", 0)])
-        first = [weigh_matrix(m)[0] for m in (small, larger_n, larger_d)]
+        first = [list(weigh_matrix(m))[0] for m in (small, larger_n, larger_d)]
         assert first[0].icf != first[1].icf
         assert first[0].idf != first[2].idf
         for matrix in (small, larger_n, larger_d, small):
@@ -495,7 +495,7 @@ class TestWeighMatrixMemo:
         def per_document(matrix):
             """The ln C(N, n_j) evaluations of one weigh_matrix call, by n_j."""
             calls.clear()
-            weigh_matrix(matrix, {"fisher"})
+            list(weigh_matrix(matrix, {"fisher"}))
             return sorted(b for a, b in calls if a == matrix.grand_total)
 
         assert per_document(first) == [2, 3, 4]
@@ -512,7 +512,7 @@ class TestWeightInvariants:
                 ("d3", "plum quince quince apple fig"),
             ]
         )
-        return weigh_matrix(matrix)
+        return list(weigh_matrix(matrix))
 
     def test_nonnegative_weights(self):
         for record in self._fixture_records():
