@@ -248,7 +248,6 @@ class TestInvalidUtf8:
         code, _, err = run_cli("sweep", "--grid-file", str(bad), capsys=capsys)
         self.assert_reported(code, err, bad, 3)
 
-
     def test_jsonl_fault_before_the_bytes_on_a_later_line_comes_first(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(b'{bad\n{"id":"x","text":"' + self.BAD + b'"}\n')
