@@ -99,25 +99,23 @@ def _parse_schemes(raw: str | None) -> frozenset[str] | None:
 
 
 def cmd_weigh(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args)
-    records = weigh_matrix(matrix, _parse_schemes(args.schemes), include_zeros=args.include_zeros)
-    _emit(_weigh_lines(records), args.output)
+    matrix, schemes = _load_matrix(args), _parse_schemes(args.schemes)
+    cells = weigh_matrix(matrix, schemes, include_zeros=args.include_zeros, render=_render)
+    _emit(_weigh_lines(cells), args.output)
     return 0
 
 
-def _weigh_lines(records: Iterable[WeightRecord]) -> Iterator[str]:
-    """The TSV lines: tf as an integer, each value with six decimals or NA."""
+def _render(tail: tuple) -> str:
+    """A record tail from tf on as TSV: tf as an integer, each value with six decimals or NA."""
+    values = ["NA" if v is None else f"{v:.6f}" for v in tail[1:-1]]
+    return f"{tail[0]}\t" + "\t".join(values) + "\n"
+
+
+def _weigh_lines(cells: Iterable[tuple[str, str, str]]) -> Iterator[str]:
+    """The TSV lines: the header, then term, doc and suffix of each cell weigh_matrix yields."""
     yield "\t".join(TSV_COLUMNS) + "\n"
-    # cells that share a key share every field from tf on, so each distinct
-    # tail is rendered once (0.0 == -0.0, but no scheme yields -0.0)
-    rendered: dict[tuple, str] = {}
-    for record in records:
-        tail = record[2:]
-        suffix = rendered.get(tail)
-        if suffix is None:
-            values = ["NA" if v is None else f"{v:.6f}" for v in tail[1:-1]]
-            suffix = rendered[tail] = f"{tail[0]}\t" + "\t".join(values) + "\n"
-        yield f"{record.term}\t{record.doc}\t{suffix}"
+    for term, doc, suffix in cells:
+        yield f"{term}\t{doc}\t{suffix}"
 
 
 def cmd_rank(args: argparse.Namespace) -> int:

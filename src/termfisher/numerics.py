@@ -12,9 +12,9 @@ work is bounded by the terms above 2**-60 of the sum, not by the support.
 The tail's pmf anchor is ln C(K, x) + ln C(N - K, s - x) - ln C(N, s). Over a
 batch of tails from one collection, ln C(N, s) repeats per document and
 ln C(K, x) per term, so `log_hypergeom_tail` takes an optional memo dict,
-(a, b) -> ln C(a, b), for those two; the caller keeps it for one batch (a
-`weigh_matrix` iterator) and drops it after. Each value is a pure function of
-its key, so a result does not depend on whether or what memo is passed.
+(a, b) -> ln C(a, b), for those two; the caller keeps it for one batch (the
+column walk of one `weigh_matrix` or `rank_matrix` call) and drops it after.
+A value is a pure function of its key, so no result depends on the memo.
 Error budget, checked in the tests against exact big-integer sums over
 populations up to 10**7 with n_j <= 300: -ln P(X >= k) within 1e-11
 absolute, and the quotient q within 1e-11 relative.

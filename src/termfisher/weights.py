@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from heapq import nsmallest
+from itertools import starmap
 from math import exp, inf, log
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import CellStats, TermDocumentMatrix
 from .errors import UndefinedPhiError, UndefinedQuotientError
@@ -190,20 +191,20 @@ def weigh_matrix(
     schemes: Iterable[str] | None = None,
     *,
     include_zeros: bool = False,
-) -> Iterator[WeightRecord]:
+    render: Callable[[tuple], object] | None = None,
+) -> Iterator:
     """An iterator of one WeightRecord per nonzero cell (all cells with
-    include_zeros); the schemes are checked when it is made.
+    include_zeros), document-major, then by term index; the schemes are
+    checked when it is made, and each record is made when it is drawn.
 
-    Records are ordered document-major, then by term index, and each is made
-    when it is drawn, so a caller that keeps none holds one at a time. Within
-    one matrix (n and d fixed) a cell's values depend only on n_ij, n_i, and,
-    if a selected scheme reads them, n_j (fisher, phi, psi, approximations)
-    and b_i (idf, tfidf, psi, approximations). Cells that share those integers
-    share their values, so the tail and every other scheme are evaluated once
-    per distinct key, not once per cell; the memos live as long as the
-    iterator. Per-cell preconditions that fail (e.g. phi at tf = 0, q when the
-    term saturates the collection) leave the affected fields as None with a
-    note; the batch never aborts.
+    Within one matrix (n and d fixed) a cell's values depend only on n_ij,
+    n_i, and, if a selected scheme reads them, n_j (fisher, phi, psi,
+    approximations) and b_i (idf, tfidf, psi, approximations), so every
+    scheme is evaluated once per distinct key; the memos live as long as the
+    iterator. A failed per-cell precondition (e.g. phi at tf = 0) leaves its
+    fields None with a note; the batch never aborts. With render it yields
+    (term, doc, render(tail)) instead, tail being the record from tf on, and
+    calls render once per key and keeps only its value (not None): no record.
     """
     if schemes is None:
         selected = SCHEMES
@@ -212,18 +213,22 @@ def weigh_matrix(
         unknown = selected - SCHEMES
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
-    return _weigh_cells(matrix, selected, include_zeros)
+    if render is None:  # tuple keeps the tail as it is
+        return starmap(_record, _weigh_cells(matrix, selected, include_zeros, tuple))
+    return _weigh_cells(matrix, selected, include_zeros, render)
+
+
+def _record(term: str, doc: str, tail: tuple) -> WeightRecord:
+    return tuple.__new__(WeightRecord, (term, doc) + tail)
 
 
 def _weigh_cells(
-    matrix: TermDocumentMatrix, selected: frozenset[str], include_zeros: bool
-) -> Iterator[WeightRecord]:
+    matrix: TermDocumentMatrix, selected: frozenset[str], include_zeros: bool, finish: Callable
+) -> Iterator[tuple]:
     vocab, docs = matrix.vocab, matrix.docs
     row_totals, col_totals = matrix.row_totals, matrix.col_totals
     reads_n_j, b_i_key = _key_parts(matrix, selected)
-    all_terms = range(matrix.m)
-    make = WeightRecord._make
-    memo: dict[tuple[int, int, int, int], tuple] = {}
+    memo: dict[tuple[int, int, int, int], object] = {}  # key -> finish(tail)
     log_choose_memo: dict[tuple[int, int], float] = {}  # the kernel's, for this matrix's tails
     for j, column in enumerate(matrix.columns):
         n_j = col_totals[j]
@@ -231,16 +236,13 @@ def _weigh_cells(
             continue  # empty document: no cell statistics are defined
         doc = docs[j]
         n_j_key = n_j if reads_n_j else 0
-        if include_zeros:
-            cells: Iterable[tuple[int, int]] = ((i, column.get(i, 0)) for i in all_terms)
-        else:
-            cells = column.items()
+        cells = ((i, column.get(i, 0)) for i in range(matrix.m)) if include_zeros else column.items()
         for i, n_ij in cells:
             key = (n_ij, row_totals[i], n_j_key, b_i_key[i])
-            tail = memo.get(key)
-            if tail is None:
-                tail = memo[key] = _cell_record(matrix.cell_stats(i, j), selected, log_choose_memo)
-            yield make((vocab[i], doc, *tail))
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = finish(_cell_record(matrix.cell_stats(i, j), selected, log_choose_memo))
+            yield vocab[i], doc, value
 
 
 def rank_matrix(

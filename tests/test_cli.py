@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 import termfisher.weights
 from termfisher.cli import main
-from termfisher.corpus import ingest_counts, ingest_text, read_corpus_jsonl, read_counts_csv
+from termfisher.corpus import (
+    TermDocumentMatrix,
+    ingest_counts,
+    ingest_text,
+    read_corpus_jsonl,
+    read_counts_csv,
+)
 from termfisher.verify import VALIDATION_SETTINGS
 from termfisher.weights import RANK_SCHEMES, WeightRecord, weigh_matrix
 
@@ -50,31 +56,56 @@ class TestWeigh:
         assert out == ""
         assert target.read_text(encoding="utf-8") == GOLDEN
 
-    def test_each_line_is_written_before_the_next_record_is_made(self, monkeypatch):
-        made = []
-        make = WeightRecord._make
+    def test_each_line_is_written_before_the_next_miss_is_evaluated(self, monkeypatch):
+        # each memo miss makes one cell_stats call, so the calls count the misses
+        misses = []
+        cell_stats = TermDocumentMatrix.cell_stats
 
-        def counting_make(values):
-            made.append(None)
-            return make(values)
+        def counting(matrix, i, j):
+            misses.append((i, j))
+            return cell_stats(matrix, i, j)
 
-        written = []  # (line, records made when it was written)
+        written = []  # (line, misses evaluated when it was written)
 
         class RecordingStdout:
             def write(self, text):
-                written.append((text, len(made)))
+                written.append((text, len(misses)))
                 return len(text)
 
             def writelines(self, lines):
                 for line in lines:
                     self.write(line)
 
-        monkeypatch.setattr(WeightRecord, "_make", staticmethod(counting_make))
+        monkeypatch.setattr(TermDocumentMatrix, "cell_stats", counting)
         monkeypatch.setattr(sys, "stdout", RecordingStdout())
         assert main(["weigh", "--input", CORPUS, "--format", "jsonl"]) == 0
         assert "".join(line for line, _ in written) == GOLDEN
-        # the header before any record, then line k once k records are made
-        assert [count for _, count in written] == list(range(len(written)))
+        # the header before any miss, then line k once the distinct keys
+        # (n_ij, n_i, n_j, b_i) among lines 1..k are evaluated, and no more
+        matrix = ingest_text(read_corpus_jsonl(CORPUS))
+        term_at = {term: i for i, term in enumerate(matrix.vocab)}
+        doc_at = {doc: j for j, doc in enumerate(matrix.docs)}
+        keys, expected = set(), [0]
+        for line in GOLDEN.splitlines()[1:]:
+            term, doc, tf = line.split("\t")[:3]
+            i, j = term_at[term], doc_at[doc]
+            keys.add((int(tf), matrix.row_totals[i], matrix.col_totals[j], matrix.doc_freq[i]))
+            expected.append(len(keys))
+        assert [count for _, count in written] == expected
+        assert len(keys) < len(written) - 1  # some cells share a key
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("--input", CASE1_CSV, "--format", "counts", "--schemes", "tfidf,tficf", "--include-zeros"),
+             "golden_weigh_counts.tsv"),
+            (("--input", CORPUS, "--format", "jsonl", "--include-zeros"), "golden_weigh_zeros.tsv"),
+        ],
+    )
+    def test_include_zeros_matches_golden_bytes(self, argv, golden, capsys):
+        code, out, err = run_cli("weigh", *argv, capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (DATA / golden).read_bytes()
 
     def test_repeated_runs_are_byte_identical(self, capsys):
         _, first, _ = run_cli("weigh", "--input", CORPUS, "--format", "jsonl", capsys=capsys)
@@ -203,6 +234,93 @@ class TestWeigh:
         assert code == 0
         docs = {line.split("\t")[1] for line in out.splitlines()[1:]}
         assert docs == {"one", "two"}
+
+
+@st.composite
+def shared_key_rows(draw):
+    """Counts rows of one drawn block of up to 3 terms by 3 documents, copied
+    once or twice down the diagonal, so that cells often share a key; a count
+    may be 0, and a document may be empty."""
+    terms = draw(st.integers(1, 3))
+    docs = draw(st.integers(1, 3))
+    block = draw(st.lists(st.integers(0, 3), min_size=terms * docs, max_size=terms * docs))
+    copies = draw(st.integers(1, 2))
+    rows = [
+        (f"t{k % terms}.{c}", f"d{k // terms}.{c}", count)
+        for c in range(copies)
+        for k, count in enumerate(block)
+    ]
+    return rows if any(block) else rows + [("t0.0", "extra", 1)]
+
+
+def _record_lines(records) -> str:
+    """The TSV data lines made record by record: the formatter the CLI used
+    before it kept one rendered suffix per key."""
+    lines = []
+    for record in records:
+        values = ["NA" if v is None else f"{v:.6f}" for v in record[3:-1]]
+        lines.append(f"{record.term}\t{record.doc}\t{record.tf}\t" + "\t".join(values) + "\n")
+    return "".join(lines)
+
+
+SHARED_KEY_CASES = given(
+    rows=shared_key_rows(),
+    schemes=st.sets(st.sampled_from(sorted(termfisher.weights.SCHEMES)), min_size=1),
+    include_zeros=st.booleans(),
+)
+
+
+class TestOneWalkTwoConsumers:
+    """weigh's TSV and weigh_matrix's records come from one walk: the records,
+    formatted one by one, are the TSV, and render runs once per integer key."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @SHARED_KEY_CASES
+    def test_tsv_is_the_records_formatted_one_by_one(self, rows, schemes, include_zeros):
+        argv = ["weigh", "--format", "counts", "--schemes", ",".join(sorted(schemes))]
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "counts.csv")
+            lines = "".join(f"{term},{doc},{count}\n" for term, doc, count in rows)
+            Path(path).write_text("term,doc,count\n" + lines, encoding="utf-8")
+            with contextlib.redirect_stdout(out):
+                assert main(argv + ["--input", path] + ["--include-zeros"] * include_zeros) == 0
+        records = weigh_matrix(ingest_counts(rows), schemes, include_zeros=include_zeros)
+        header = "\t".join(WeightRecord._fields[:-1]) + "\n"
+        assert out.getvalue() == header + _record_lines(records)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @SHARED_KEY_CASES
+    def test_render_runs_once_per_integer_key(self, rows, schemes, include_zeros):
+        matrix = ingest_counts(rows)
+        tails = []
+
+        def render(tail):
+            tails.append(tail)
+            return len(tails)  # which call rendered the cell
+
+        cells = list(weigh_matrix(matrix, schemes, include_zeros=include_zeros, render=render))
+        records = list(weigh_matrix(matrix, schemes, include_zeros=include_zeros))
+        assert [cell[:2] for cell in cells] == [record[:2] for record in records]
+        # each cell is given what render made of its own record from tf on
+        assert [tails[call - 1] for _, _, call in cells] == [record[2:] for record in records]
+        # the key holds n_j and b_i only where a selected scheme reads them
+        reads_n_j = not schemes.isdisjoint({"fisher", "phi", "psi", "approximations"})
+        reads_b_i = not schemes.isdisjoint({"idf", "tfidf", "psi", "approximations"})
+        term_at = {term: i for i, term in enumerate(matrix.vocab)}
+        doc_at = {doc: j for j, doc in enumerate(matrix.docs)}
+        calls_by_key = {}
+        for record, (_, _, call) in zip(records, cells):
+            i, j = term_at[record.term], doc_at[record.doc]
+            key = (
+                record.tf,
+                matrix.row_totals[i],
+                matrix.col_totals[j] if reads_n_j else 0,
+                matrix.doc_freq[i] if reads_b_i else 0,
+            )
+            calls_by_key.setdefault(key, set()).add(call)
+        assert all(len(calls) == 1 for calls in calls_by_key.values())
+        assert len(tails) == len(calls_by_key)
 
 
 class TestInvalidUtf8:
