@@ -1,5 +1,9 @@
 """Tests for the term-weighting schemes and the batch evaluator."""
 
+import contextlib
+import io
+import os
+import tempfile
 from math import copysign, inf, isclose, log
 
 import pytest
@@ -8,7 +12,15 @@ from hypothesis import strategies as st
 
 import termfisher.numerics
 import termfisher.weights
-from exact_refs import embed_cell_counts, log_fraction, neg_log_tail, quotient, tail_fraction
+from exact_refs import (
+    embed_cell_counts,
+    log_fraction,
+    neg_log_tail,
+    quotient,
+    tail_fraction,
+    write_counts_csv,
+)
+from termfisher.cli import main
 from termfisher.corpus import CellStats, TermDocumentMatrix, ingest_counts, ingest_text
 from termfisher.errors import UndefinedPhiError, UndefinedQuotientError
 from termfisher.numerics import HypergeomParams, log_hypergeom_tail
@@ -501,6 +513,75 @@ class TestWeighMatrixMemo:
         assert per_document(first) == [2, 3, 4]
         assert per_document(second) == [2, 5]
         assert per_document(first) == [2, 3, 4]  # no value survives its call
+
+
+def _record_lines(records) -> str:
+    """The TSV data lines made record by record: the formatter the CLI used
+    before it kept one rendered suffix per key."""
+    lines = []
+    for record in records:
+        values = ["NA" if v is None else f"{v:.6f}" for v in record[3:-1]]
+        lines.append(f"{record.term}\t{record.doc}\t{record.tf}\t" + "\t".join(values) + "\n")
+    return "".join(lines)
+
+
+MATRICES_AND_SCHEMES = given(
+    rows=st.one_of(count_rows(), repeating_count_rows()),
+    schemes=st.sets(st.sampled_from(sorted(SCHEMES)), min_size=1),
+    include_zeros=st.booleans(),
+)
+
+
+class TestOneWalkTwoConsumers:
+    """weigh's TSV and weigh_matrix's records come from one walk: the records,
+    formatted one by one, are the TSV, and render runs once per integer key."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @MATRICES_AND_SCHEMES
+    def test_tsv_is_the_records_formatted_one_by_one(self, rows, schemes, include_zeros):
+        argv = ["weigh", "--format", "counts", "--schemes", ",".join(sorted(schemes))]
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "counts.csv")
+            write_counts_csv(path, rows)
+            with contextlib.redirect_stdout(out):
+                assert main(argv + ["--input", path] + ["--include-zeros"] * include_zeros) == 0
+        records = weigh_matrix(ingest_counts(rows), schemes, include_zeros=include_zeros)
+        header = "\t".join(WeightRecord._fields[:-1]) + "\n"
+        assert out.getvalue() == header + _record_lines(records)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @MATRICES_AND_SCHEMES
+    def test_render_runs_once_per_integer_key(self, rows, schemes, include_zeros):
+        matrix = ingest_counts(rows)
+        tails = []
+
+        def render(tail):
+            tails.append(tail)
+            return len(tails)  # which call rendered the cell
+
+        cells = list(weigh_matrix(matrix, schemes, include_zeros=include_zeros, render=render))
+        records = list(weigh_matrix(matrix, schemes, include_zeros=include_zeros))
+        assert [cell[:2] for cell in cells] == [record[:2] for record in records]
+        # each cell is given what render made of its own record from tf on
+        assert [tails[call - 1] for _, _, call in cells] == [record[2:] for record in records]
+        # the key holds n_j and b_i only where a selected scheme reads them
+        reads_n_j = not schemes.isdisjoint({"fisher", "phi", "psi", "approximations"})
+        reads_b_i = not schemes.isdisjoint({"idf", "tfidf", "psi", "approximations"})
+        term_at = {term: i for i, term in enumerate(matrix.vocab)}
+        doc_at = {doc: j for j, doc in enumerate(matrix.docs)}
+        calls_by_key = {}
+        for record, (_, _, call) in zip(records, cells):
+            i, j = term_at[record.term], doc_at[record.doc]
+            key = (
+                record.tf,
+                matrix.row_totals[i],
+                matrix.col_totals[j] if reads_n_j else 0,
+                matrix.doc_freq[i] if reads_b_i else 0,
+            )
+            calls_by_key.setdefault(key, set()).add(call)
+        assert all(len(calls) == 1 for calls in calls_by_key.values())
+        assert len(tails) == len(calls_by_key)
 
 
 class TestWeightInvariants:
