@@ -105,8 +105,14 @@ def cmd_weigh(args: argparse.Namespace) -> int:
     return 0
 
 
+_TSV_TAIL = "%d\t" + "%.6f\t" * 9 + "%.6f\n"
+
+
 def _render(tail: tuple) -> str:
-    """A record tail from tf on as TSV: tf as an integer, each value with six decimals or NA."""
+    """A record tail from tf on as TSV: tf as an integer, each value with six
+    decimals or NA; a tail with no NA takes one format of _TSV_TAIL."""
+    if None not in tail:
+        return _TSV_TAIL % tail[:-1]
     values = ["NA" if v is None else f"{v:.6f}" for v in tail[1:-1]]
     return f"{tail[0]}\t" + "\t".join(values) + "\n"
 

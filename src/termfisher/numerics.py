@@ -12,8 +12,10 @@ work is bounded by the terms above 2**-60 of the sum, not by the support.
 The tail's pmf anchor is ln C(K, x) + ln C(N - K, s - x) - ln C(N, s). Over a
 batch of tails from one collection, ln C(N, s) repeats per document and
 ln C(K, x) per term, so `log_hypergeom_tail` takes an optional memo dict,
-(a, b) -> ln C(a, b), for those two; the caller keeps it for one batch (the
-column walk of one `weigh_matrix` or `rank_matrix` call) and drops it after.
+(a, b) -> ln C(a, b), for those two; `log_binom_pmf` takes the same memo for
+the binomial mass's ln C(s, k), which repeats per (n_j, n_ij). The caller
+keeps it for one batch (the column walk of one `weigh_matrix` or
+`rank_matrix` call) and drops it after.
 A value is a pure function of its key, so no result depends on the memo.
 Error budget, checked in the tests against exact big-integer sums over
 populations up to 10**7 with n_j <= 300: -ln P(X >= k) within 1e-11
@@ -129,11 +131,13 @@ def log_hypergeom_pmf(params: HypergeomParams) -> float:
     return _log_pmf(k, K, s, N, {})
 
 
-def log_binom_pmf(k: int, s: int, p: float) -> float:
+def log_binom_pmf(k: int, s: int, p: float, memo: dict[tuple[int, int], float] | None = None) -> float:
     """ln P(X = k) for X binomial(s, p).
 
     p in {0, 1} degenerates to a point mass at 0 or s; k outside [0, s]
-    has probability zero.
+    has probability zero. memo, if given, is a (a, b) -> ln C(a, b) memo as
+    log_hypergeom_tail takes, and holds ln C(s, k); the value is the same
+    either way.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidProbabilityError(f"probability {p} outside [0, 1]")
@@ -145,7 +149,12 @@ def log_binom_pmf(k: int, s: int, p: float) -> float:
         return 0.0 if k == 0 else NEG_INFINITY
     if p == 1.0:
         return 0.0 if k == s else NEG_INFINITY
-    return log_choose(s, k) + k * log(p) + (s - k) * log1p(-p)
+    if memo is None:
+        memo = {}
+    log_c = memo.get((s, k))
+    if log_c is None:
+        log_c = memo[s, k] = log_choose(s, k)
+    return log_c + k * log(p) + (s - k) * log1p(-p)
 
 
 def _falling_series(k: int, K: int, s: int, N: int) -> float:

@@ -59,11 +59,11 @@ def _log_tails(stats: CellStats, memo: dict | None = None) -> tuple[float, float
     return log_hypergeom_tail(HypergeomParams(stats.n_ij + 1, stats.n_i, stats.n_j, stats.n), memo)
 
 
-def _quotient(stats: CellStats, log_tail_past: float) -> float:
+def _quotient(stats: CellStats, log_tail_past: float, memo: dict | None = None) -> float:
     p_i = stats.p_i
     if p_i <= 0.0 or p_i >= 1.0:
         raise UndefinedQuotientError("quotient requires 0 < p_i < 1")
-    log_mass = log_binom_pmf(stats.n_ij, stats.n_j, p_i)  # counts past the float range raise
+    log_mass = log_binom_pmf(stats.n_ij, stats.n_j, p_i, memo)  # counts past the float range raise
     try:
         return exp(log_tail_past - log_mass)
     except OverflowError:
@@ -128,52 +128,65 @@ class WeightRecord(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def _cell_record(stats: CellStats, schemes: frozenset[str], memo: dict | None = None) -> tuple:
-    """The record of one cell without term and doc: tf, the selected scheme
-    values (None where not selected or NA), and a note for each that is NA.
-    memo is passed on to the tail kernel."""
+def _plan(schemes: frozenset[str]) -> Callable[[CellStats, dict | None], tuple]:
+    """The record maker of one set of schemes, made once per walk: it maps a
+    cell's stats (and memo, the batch's ln C memo, if any) to the record
+    without term and doc -- tf, the selected scheme values (None where not
+    selected or NA) and a note for each that is NA."""
     approx = "approximations" in schemes
-    tfidf_v = tfidf(stats) if approx or "tfidf" in schemes else None
-    tficf_v = tficf(stats) if approx or "tficf" in schemes else None
-    wants_phi = "phi" in schemes or approx
-    wants_psi = "psi" in schemes or approx
-    neg_log_p = q_v = phi_v = psi_v = thm1_v = cor1_v = None
-    notes: list[str] = []
-    if "fisher" in schemes or wants_phi or wants_psi:
-        log_tail_past, log_tail = _log_tails(stats, memo)
-        if "fisher" in schemes:
-            neg_log_p = 0.0 - log_tail
-        if wants_phi or wants_psi:
-            try:
-                q_v = _quotient(stats, log_tail_past)
-            except UndefinedQuotientError as exc:
-                notes.append(f"q: {exc}")
-    if wants_phi:
-        if q_v is None:
-            notes.append("phi: requires q")
-        else:
-            try:
-                phi_v = phi(stats, q_v)
-            except UndefinedPhiError as exc:
-                notes.append(f"phi: {exc}")
-    if wants_psi:
-        if q_v is None:
-            notes.append("psi: requires q")
-        else:
-            psi_v = psi(stats, q_v)
-    if approx:
-        if phi_v is not None:
-            thm1_v = tficf_v + phi_v
-        if psi_v is not None:
-            cor1_v = tfidf_v + psi_v
-    return (
-        stats.n_ij,
-        idf(stats) if "idf" in schemes else None,
-        icf(stats) if "icf" in schemes else None,
-        tfidf_v if "tfidf" in schemes else None,
-        tficf_v if "tficf" in schemes else None,
-        neg_log_p, q_v, phi_v, psi_v, thm1_v, cor1_v, tuple(notes),
-    )
+    wants_idf, wants_icf, wants_fisher = "idf" in schemes, "icf" in schemes, "fisher" in schemes
+    shows_tfidf, shows_tficf = "tfidf" in schemes, "tficf" in schemes
+    wants_tfidf, wants_tficf = approx or shows_tfidf, approx or shows_tficf
+    wants_phi, wants_psi = approx or "phi" in schemes, approx or "psi" in schemes
+    wants_q = wants_phi or wants_psi
+
+    def record(stats: CellStats, memo: dict | None) -> tuple:
+        tfidf_v = tfidf(stats) if wants_tfidf else None
+        tficf_v = tficf(stats) if wants_tficf else None
+        neg_log_p = q_v = phi_v = psi_v = thm1_v = cor1_v = None
+        notes: tuple[str, ...] = ()
+        if wants_fisher or wants_q:
+            log_tail_past, log_tail = _log_tails(stats, memo)
+            if wants_fisher:
+                neg_log_p = 0.0 - log_tail
+            if wants_q:
+                try:
+                    q_v = _quotient(stats, log_tail_past, memo)
+                except UndefinedQuotientError as exc:
+                    notes = (f"q: {exc}",)
+        if wants_phi:
+            if q_v is None:
+                notes += ("phi: requires q",)
+            else:
+                try:
+                    phi_v = phi(stats, q_v)
+                except UndefinedPhiError as exc:
+                    notes += (f"phi: {exc}",)
+        if wants_psi:
+            if q_v is None:
+                notes += ("psi: requires q",)
+            else:
+                psi_v = psi(stats, q_v)
+        if approx:
+            if phi_v is not None:
+                thm1_v = tficf_v + phi_v
+            if psi_v is not None:
+                cor1_v = tfidf_v + psi_v
+        return (
+            stats.n_ij,
+            idf(stats) if wants_idf else None,
+            icf(stats) if wants_icf else None,
+            tfidf_v if shows_tfidf else None,
+            tficf_v if shows_tficf else None,
+            neg_log_p, q_v, phi_v, psi_v, thm1_v, cor1_v, notes,
+        )
+
+    return record
+
+
+def _cell_record(stats: CellStats, schemes: frozenset[str], memo: dict | None = None) -> tuple:
+    """The record of one cell under schemes, as a walk under them makes it."""
+    return _plan(schemes)(stats, memo)
 
 
 def _key_parts(matrix: TermDocumentMatrix, selected: frozenset[str]) -> tuple[bool, Sequence[int]]:
@@ -228,8 +241,9 @@ def _weigh_cells(
     vocab, docs = matrix.vocab, matrix.docs
     row_totals, col_totals = matrix.row_totals, matrix.col_totals
     reads_n_j, b_i_key = _key_parts(matrix, selected)
+    record = _plan(selected)
     memo: dict[tuple[int, int, int, int], object] = {}  # key -> finish(tail)
-    log_choose_memo: dict[tuple[int, int], float] = {}  # the kernel's, for this matrix's tails
+    log_choose_memo: dict[tuple[int, int], float] = {}  # ln C for this matrix's tails and masses
     for j, column in enumerate(matrix.columns):
         n_j = col_totals[j]
         if n_j == 0:
@@ -246,7 +260,7 @@ def _weigh_cells(
             key = (n_ij, row_totals[i], n_j_key, b_i_key[i])
             value = memo.get(key)
             if value is None:
-                value = memo[key] = finish(_cell_record(matrix.cell_stats(i, j), selected, log_choose_memo))
+                value = memo[key] = finish(record(matrix.cell_stats(i, j), log_choose_memo))
             yield vocab[i], doc, value
 
 
@@ -274,7 +288,8 @@ def rank_matrix(
     """
     weighed, field = RANK_SCHEMES[scheme]
     selected = frozenset({weighed})
-    at = WeightRecord._fields.index(field) - 2  # _cell_record starts at tf
+    record = _plan(selected)
+    at = WeightRecord._fields.index(field) - 2  # a record starts at tf
     prune = scheme == "fisher"
     vocab, docs = matrix.vocab, matrix.docs
     row_totals, col_totals = matrix.row_totals, matrix.col_totals
@@ -305,7 +320,7 @@ def rank_matrix(
             if key in memo:
                 neg = memo[key]
             else:
-                value = _cell_record(matrix.cell_stats(i, j), selected, log_choose_memo)[at]
+                value = record(matrix.cell_stats(i, j), log_choose_memo)[at]
                 neg = memo[key] = None if value is None else -float(value)
             if neg is not None:
                 scored.append((neg, vocab[i]))

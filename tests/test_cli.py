@@ -8,14 +8,15 @@ import os
 import subprocess
 import sys
 import tempfile
+from math import inf, nan
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import termfisher.weights
-from termfisher.cli import main
+from termfisher.cli import _render, main
 from termfisher.corpus import (
     TermDocumentMatrix,
     ingest_counts,
@@ -106,6 +107,14 @@ class TestWeigh:
         code, out, err = run_cli("weigh", *argv, capsys=capsys)
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (DATA / golden).read_bytes()
+
+    def test_mixed_schemes_match_golden_bytes(self, capsys):
+        # unselected slots print NA beside selected ones: a partial plan and the per-field render
+        code, out, err = run_cli(
+            "weigh", "--input", CORPUS, "--format", "jsonl", "--schemes", "fisher,phi,idf", capsys=capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (DATA / "golden_weigh_mixed.tsv").read_bytes()
 
     def test_repeated_runs_are_byte_identical(self, capsys):
         _, first, _ = run_cli("weigh", "--input", CORPUS, "--format", "jsonl", capsys=capsys)
@@ -234,6 +243,29 @@ class TestWeigh:
         assert code == 0
         docs = {line.split("\t")[1] for line in out.splitlines()[1:]}
         assert docs == {"one", "two"}
+
+
+def _render_by_field(tail: tuple) -> str:
+    """A record tail as TSV made field by field: the formatter the CLI used
+    for every tail before a tail with no NA took one template."""
+    values = ["NA" if v is None else f"{v:.6f}" for v in tail[1:-1]]
+    return f"{tail[0]}\t" + "\t".join(values) + "\n"
+
+
+class TestRender:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        tf=st.one_of(st.integers(0, 10), st.integers(0, 10**153 - 1)),
+        values=st.lists(
+            st.one_of(st.floats(), st.sampled_from([0.0, -0.0, inf, -inf, nan])), min_size=10, max_size=10
+        ),
+        na=st.sets(st.integers(0, 9)),
+    )
+    @example(tf=10**153 - 1, values=[-0.0, inf, -inf, nan, 0.0, 1e300, -1e-300, 0.5, 2.5, -7.0], na=set())
+    @example(tf=0, values=[0.0] * 10, na=set(range(10)))
+    def test_equals_the_per_field_formatter(self, tf, values, na):
+        tail = (tf, *(None if at in na else v for at, v in enumerate(values)), ())
+        assert _render(tail) == _render_by_field(tail)
 
 
 class TestInvalidUtf8:

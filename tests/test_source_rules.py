@@ -71,3 +71,30 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     names = [(ast.unparse(entry.elts[0]), ast.literal_eval(entry.elts[1])) for entry in wrapped.elts]
     assert names
     assert [f"{owner}.{attr}" for owner, attr in names if not hasattr(_resolve(owner), attr)] == []
+
+
+def _empty_container(value: ast.expr | None) -> bool:
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return isinstance(value, ast.Call) and ast.unparse(value) in ("dict()", "list()", "set()")
+
+
+def test_no_memo_outlives_its_call():
+    # no global statement, no functools cache and no module-level empty container:
+    # every memo is made by the call that fills it and dropped with it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno}: global")
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names if a.name in ("cache", "lru_cache")]
+            elif isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache"):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _empty_container(node.value):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []

@@ -543,6 +543,44 @@ class TestWeighMatrixMemo:
         assert per_document(second) == [2, 5]
         assert per_document(first) == [2, 3, 4]  # no value survives its call
 
+    def test_one_log_choose_for_the_binomial_mass_per_pair_per_call(self, monkeypatch):
+        calls = []
+        in_mass = []
+        log_choose = termfisher.numerics.log_choose
+        log_binom_pmf = termfisher.weights.log_binom_pmf
+
+        def counting(a, b):
+            if in_mass:
+                calls.append((a, b))
+            return log_choose(a, b)
+
+        def mass(*args):
+            in_mass.append(True)
+            try:
+                return log_binom_pmf(*args)
+            finally:
+                in_mass.pop()
+
+        monkeypatch.setattr(termfisher.numerics, "log_choose", counting)
+        monkeypatch.setattr(termfisher.weights, "log_binom_pmf", mass)
+        # documents of 2 or 3 tokens and terms of 5 or 6: no tail's ln C(n_i, .)
+        # or ln C(n, n_j) has the key (n_j, n_ij) of a binomial mass
+        matrix = ingest_text(
+            [("d1", "a b c"), ("d2", "a a b"), ("d3", "b c"), ("d4", "c a"), ("d5", "a b c"), ("d6", "b c c")]
+        )
+        pairs, misses = set(), set()
+        for j, column in enumerate(matrix.columns):
+            for i in column:
+                stats = matrix.cell_stats(i, j)
+                pairs.add((stats.n_j, stats.n_ij))
+                misses.add((stats.n_ij, stats.n_i, stats.n_j, stats.b_i))
+        assert len(pairs) < len(misses)  # one call per miss would be more
+
+        for _ in range(2):  # no value survives its call
+            calls.clear()
+            list(weigh_matrix(matrix))
+            assert sorted(calls) == sorted(pairs)
+
 
 def _record_lines(records) -> str:
     """The TSV data lines made record by record: the formatter the CLI used
