@@ -15,7 +15,7 @@ import os
 import re
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Generator, Iterable, Iterator, NamedTuple, TextIO
@@ -94,41 +94,13 @@ class CellStats(_CellCounts):
         return self.n_i / self.n
 
 
-class _Column(Mapping):
-    """One document's column: two tuples of one length, its term indices in
-    ascending order and their counts. As a read-only Mapping from term index
-    to count, a lookup (get, []) bisects the indices and items() walks the
-    two tuples; the walks over a matrix read the tuples themselves. Only
-    _compact makes one, so the indices are distinct and sorted."""
+class _Column(NamedTuple):
+    """One document's column: its term indices in ascending order and their
+    counts, two tuples of one length. Only _compact makes one, so the indices
+    are distinct and sorted."""
 
-    __slots__ = ("indices", "counts")
-
-    def __init__(self, indices: tuple[int, ...], counts: tuple[int, ...]):
-        self.indices = indices
-        self.counts = counts
-
-    def __getitem__(self, i: int) -> int:
-        indices = self.indices
-        k = bisect_left(indices, i)
-        if k < len(indices) and indices[k] == i:
-            return self.counts[k]
-        raise KeyError(i)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def items(self) -> ItemsView:
-        return _ColumnItems(self)
-
-
-class _ColumnItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self._mapping.indices, self._mapping.counts)
+    indices: tuple[int, ...]
+    counts: tuple[int, ...]
 
 
 def _compact(column: Mapping[int, int]) -> _Column:
@@ -146,10 +118,10 @@ class TermDocumentMatrix:
     builds the matrix); documents are retained even when empty (they still
     count toward d). Counts are stored by column: per document, two tuples
     in ascending term order, the term indices of its positive counts and the
-    counts, which matrix.columns[j] shows as a read-only Mapping from term
-    index to count. The constructor takes any iterable of one mapping per
-    document from term index to count and draws them one at a time; it
-    validates every cell and stores each column sorted and without its zeros.
+    counts, which matrix.columns[j] gives as the named pair (indices, counts).
+    The constructor takes any iterable of one mapping per document from term
+    index to count and draws them one at a time; it validates every cell and
+    stores each column sorted and without its zeros.
     A column that the ingest functions compacted, as each document is read,
     is kept as it is unless it holds a zero, so the hand-over makes no copy.
     """
@@ -167,16 +139,16 @@ class TermDocumentMatrix:
         for j, column in enumerate(columns):
             if type(column) is not _Column:
                 column = _compact(column)
-            indices, counts = column.indices, column.counts
+            indices, counts = column
             if indices and not (0 <= indices[0] and indices[-1] < m):
                 i = indices[0] if indices[0] < 0 else indices[-1]
                 raise IndexOutOfRangeError(f"cell ({i}, {j}) outside {m}x{d} matrix")
             if counts and min(counts) <= 0:
-                i = next((i for i, c in column.items() if c < 0), None)
+                i = next((i for i, c in zip(indices, counts) if c < 0), None)
                 if i is not None:
                     raise NegativeCountError(f"negative count at cell ({i}, {j})")
-                column = _compact({i: c for i, c in column.items() if c})
-                indices, counts = column.indices, column.counts
+                column = _compact({i: c for i, c in zip(indices, counts) if c})
+                indices, counts = column
             for i, c in zip(indices, counts):
                 row[i] += c
                 freq[i] += 1
@@ -234,9 +206,9 @@ class TermDocumentMatrix:
     # -- cells --------------------------------------------------------------
 
     @property
-    def columns(self) -> tuple[Mapping[int, int], ...]:
-        """Per document, its positive counts keyed by term index, ascending:
-        a read-only Mapping whose tuples indices and counts the walks read."""
+    def columns(self) -> tuple[_Column, ...]:
+        """Per document, the pair (indices, counts): the term indices of its
+        positive counts, ascending, and the counts."""
         return self._columns
 
     def cell_stats(self, i: int, j: int) -> CellStats:
@@ -317,7 +289,7 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
     """
     terms: dict[str, int] = {}  # term -> row index, in first-seen order
     totals: list[int] = []
-    docs: dict[str, Mapping[int, int]] = {}  # doc -> its column, in first-seen order
+    docs: dict[str, dict[int, int] | _Column] = {}  # doc -> its column, in first-seen order
     doc = column = None  # the document being read, and its dict
     fresh = False  # its first row began this run of rows, so the run's end compacts it
 
@@ -336,7 +308,7 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
             if fresh:
                 column = docs[doc] = {}
             elif type(column) is _Column:
-                column = docs[doc] = dict(zip(column.indices, column.counts))
+                column = docs[doc] = dict(zip(*column))
         if i in column:
             raise DuplicateCellError(f"duplicate cell ({term!r}, {doc!r})")
         column[i] = count
@@ -355,7 +327,8 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
         return TermDocumentMatrix(terms, ids, columns)
     # renumber; the matrix itself drops zero cells
     remap = {i: new_i for new_i, i in enumerate(kept)}
-    renumbered = ({remap[i]: c for i, c in column.items() if i in remap} for column in columns)
+    pairs = (zip(*column) if type(column) is _Column else column.items() for column in columns)
+    renumbered = ({remap[i]: c for i, c in cells if i in remap} for cells in pairs)
     return TermDocumentMatrix([t for t, i in terms.items() if totals[i]], ids, renumbered)
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .corpus import CellStats
 from .errors import InvalidSyntheticSpecError
 from .numerics import HypergeomParams, log_binom_pmf, log_hypergeom_pmf
-from .weights import SCHEMES, WeightRecord, _cell_record, fisher_weight, q_ij, tfidf
+from .weights import SCHEMES, WeightRecord, _plan, fisher_weight, q_ij, tfidf
 
 TABLE_TOLERANCE = 5e-5  # match at four printed decimals
 
@@ -108,7 +108,8 @@ TYPICAL_SETTINGS: tuple[TableRow, ...] = (
 def evaluate_setting(setting: TableRow) -> TableRow:
     """The setting with the values and deltas computed from the record
     weigh_matrix gives its cell."""
-    record = WeightRecord("", "", *_cell_record(setting.params, SCHEMES))
+    make, _, _ = _plan(SCHEMES)
+    record = WeightRecord("", "", *make(setting.params, None))
     neg_log_p = record.neg_log_p
     values = dict(zip(FORMULAS, (neg_log_p, record.thm1_approx, record.cor1_approx, record.tfidf)))
     # gap relative to the formula of interest, as a percentage

@@ -13,7 +13,7 @@ from bisect import bisect_right, insort
 from heapq import nsmallest
 from itertools import starmap
 from math import exp, inf, log
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .corpus import CellStats, TermDocumentMatrix
 from .errors import UndefinedPhiError, UndefinedQuotientError
@@ -128,17 +128,20 @@ class WeightRecord(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-def _plan(schemes: frozenset[str]) -> Callable[[CellStats, dict | None], tuple]:
-    """The record maker of one set of schemes, made once per walk: it maps a
-    cell's stats (and memo, the batch's ln C memo, if any) to the record
-    without term and doc -- tf, the selected scheme values (None where not
-    selected or NA) and a note for each that is NA."""
+def _plan(schemes: frozenset[str]) -> tuple[Callable[[CellStats, dict | None], tuple], bool, bool]:
+    """The plan of one set of schemes, made once per walk: (record, reads_n_j,
+    reads_b_i). record maps a cell's stats (and memo, the batch's ln C memo,
+    if any) to the record without term and doc -- tf, the selected scheme
+    values (None where not selected or NA) and a note for each that is NA. It
+    reads n_j only if reads_n_j and b_i only if reads_b_i, so a memo key holds
+    each only then (and must not outlive its matrix, which fixes n and d)."""
     approx = "approximations" in schemes
     wants_idf, wants_icf, wants_fisher = "idf" in schemes, "icf" in schemes, "fisher" in schemes
     shows_tfidf, shows_tficf = "tfidf" in schemes, "tficf" in schemes
     wants_tfidf, wants_tficf = approx or shows_tfidf, approx or shows_tficf
     wants_phi, wants_psi = approx or "phi" in schemes, approx or "psi" in schemes
     wants_q = wants_phi or wants_psi
+    reads_n_j, reads_b_i = wants_fisher or wants_q, wants_idf or wants_tfidf or wants_psi
 
     def record(stats: CellStats, memo: dict | None) -> tuple:
         tfidf_v = tfidf(stats) if wants_tfidf else None
@@ -181,22 +184,7 @@ def _plan(schemes: frozenset[str]) -> Callable[[CellStats, dict | None], tuple]:
             neg_log_p, q_v, phi_v, psi_v, thm1_v, cor1_v, notes,
         )
 
-    return record
-
-
-def _cell_record(stats: CellStats, schemes: frozenset[str], memo: dict | None = None) -> tuple:
-    """The record of one cell under schemes, as a walk under them makes it."""
-    return _plan(schemes)(stats, memo)
-
-
-def _key_parts(matrix: TermDocumentMatrix, selected: frozenset[str]) -> tuple[bool, Sequence[int]]:
-    """What a memo key holds besides n_ij and n_i: whether it holds n_j, and
-    each term's b_i (or 0) -- only the integers the selected schemes read. A
-    key must not outlive its call, since n and d are fixed only within one
-    matrix."""
-    reads_n_j = not selected.isdisjoint({"fisher", "phi", "psi", "approximations"})
-    reads_b_i = not selected.isdisjoint({"idf", "tfidf", "psi", "approximations"})
-    return reads_n_j, matrix.doc_freq if reads_b_i else (0,) * matrix.m
+    return record, reads_n_j, reads_b_i
 
 
 def weigh_matrix(
@@ -240,8 +228,8 @@ def _weigh_cells(
 ) -> Iterator[tuple]:
     vocab, docs = matrix.vocab, matrix.docs
     row_totals, col_totals = matrix.row_totals, matrix.col_totals
-    reads_n_j, b_i_key = _key_parts(matrix, selected)
-    record = _plan(selected)
+    record, reads_n_j, reads_b_i = _plan(selected)
+    b_i_key = matrix.doc_freq if reads_b_i else (0,) * matrix.m
     memo: dict[tuple[int, int, int, int], object] = {}  # key -> finish(tail)
     log_choose_memo: dict[tuple[int, int], float] = {}  # ln C for this matrix's tails and masses
     for j, column in enumerate(matrix.columns):
@@ -287,13 +275,12 @@ def rank_matrix(
     the dominance walk needs the cells sorted, and the heap orders the scores.
     """
     weighed, field = RANK_SCHEMES[scheme]
-    selected = frozenset({weighed})
-    record = _plan(selected)
+    record, reads_n_j, reads_b_i = _plan(frozenset({weighed}))
     at = WeightRecord._fields.index(field) - 2  # a record starts at tf
     prune = scheme == "fisher"
     vocab, docs = matrix.vocab, matrix.docs
     row_totals, col_totals = matrix.row_totals, matrix.col_totals
-    reads_n_j, b_i_key = _key_parts(matrix, selected)
+    b_i_key = matrix.doc_freq if reads_b_i else (0,) * matrix.m
     memo: dict[tuple[int, int, int, int], float | None] = {}  # key -> -score, or None for NA
     log_choose_memo: dict[tuple[int, int], float] = {}
     ranking = []

@@ -193,10 +193,11 @@ def export_counts(matrix: TermDocumentMatrix) -> list[tuple[str, str, int]]:
     they have none.
     """
     vocab, docs, columns = matrix.vocab, matrix.docs, matrix.columns
-    rows = [(term, docs[0], columns[0].get(i, 0)) for i, term in enumerate(vocab)]
+    first = dict(zip(*columns[0]))
+    rows = [(term, docs[0], first.get(i, 0)) for i, term in enumerate(vocab)]
     for doc, column in zip(docs[1:], columns[1:]):
-        if column:
-            rows.extend((vocab[i], doc, c) for i, c in column.items())
+        if column.indices:
+            rows.extend((vocab[i], doc, c) for i, c in zip(*column))
         else:
             rows.append((vocab[0], doc, 0))
     return rows

@@ -725,7 +725,7 @@ class TestRankPruning:
         every, undominated = set(), set()
         for j, column in enumerate(matrix.columns):
             n_j = matrix.col_totals[j]
-            cells = [(n_ij, matrix.row_totals[i]) for i, n_ij in column.items()]
+            cells = [(n_ij, matrix.row_totals[i]) for i, n_ij in zip(*column)]
             for a, b in cells:
                 key = (a + 1, b, n_j, n)
                 every.add(key)

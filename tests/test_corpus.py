@@ -53,8 +53,8 @@ class TestIngestText:
     def test_single_document_counts(self):
         matrix = ingest_text([("d1", "a b a")])
         assert matrix.m == 2
-        assert matrix.columns[0].get(matrix.vocab.index("a"), 0) == 2
-        assert matrix.columns[0].get(matrix.vocab.index("b"), 0) == 1
+        assert matrix.cell_stats(matrix.vocab.index("a"), 0).n_ij == 2
+        assert matrix.cell_stats(matrix.vocab.index("b"), 0).n_ij == 1
         assert matrix.grand_total == 3
         assert matrix.d == 1
 
@@ -68,7 +68,7 @@ class TestIngestText:
     def test_case_folding_merges_tokens(self):
         matrix = ingest_text([("d1", "The the THE")])
         assert matrix.vocab == ("the",)
-        assert matrix.columns[0].get(0, 0) == 3
+        assert matrix.cell_stats(0, 0).n_ij == 3
 
     def test_deterministic(self):
         documents = [("d1", "pear plum pear"), ("d2", "plum quince")]
@@ -223,13 +223,13 @@ class TestMatrixInvariants:
         assert sum(matrix.row_totals) == matrix.grand_total
         assert sum(matrix.col_totals) == matrix.grand_total
         for i in range(matrix.m):
-            assert sum(matrix.columns[j].get(i, 0) for j in range(matrix.d)) == matrix.row_totals[i]
+            assert sum(matrix.cell_stats(i, j).n_ij for j in range(matrix.d)) == matrix.row_totals[i]
             assert 1 <= matrix.doc_freq[i] <= matrix.d
         for j in range(matrix.d):
-            assert sum(matrix.columns[j].get(i, 0) for i in range(matrix.m)) == matrix.col_totals[j]
+            assert sum(matrix.cell_stats(i, j).n_ij for i in range(matrix.m)) == matrix.col_totals[j]
         for i in range(matrix.m):
             for j in range(matrix.d):
-                c = matrix.columns[j].get(i, 0)
+                c = matrix.cell_stats(i, j).n_ij
                 assert c <= matrix.row_totals[i]
                 assert c <= matrix.col_totals[j]
 
@@ -295,7 +295,7 @@ class TestMatrixInvariants:
         # inserted out of term order, with a zero stored at (1, 0)
         columns = [{2: 3, 1: 0, 0: 2}, {2: 4, 0: 1, 1: 5}]
         matrix = TermDocumentMatrix(("a", "b", "c"), ("d1", "d2"), columns)
-        assert [list(column.items()) for column in matrix.columns] == [
+        assert [list(zip(*column)) for column in matrix.columns] == [
             [(0, 2), (2, 3)],
             [(0, 1), (1, 5), (2, 4)],
         ]
@@ -306,7 +306,7 @@ class TestMatrixInvariants:
         columns = [{0: 1}]
         matrix = TermDocumentMatrix(("a",), ("d1",), columns)
         columns[0][0] = 7
-        assert matrix.columns[0].get(0, 0) == 1
+        assert matrix.cell_stats(0, 0).n_ij == 1
 
     def test_no_term_or_no_document_is_an_empty_collection(self):
         with pytest.raises(EmptyCollectionError):
@@ -363,14 +363,21 @@ class TestMatrixInvariants:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert sum(map(len, columns)) == 20_000
+        assert sum(len(column.indices) for column in columns) == 20_000
         assert stored / 20_000 <= 24
 
     def test_columns_are_read_only(self):
-        matrix = ingest_text([("d1", "a b a")])
+        matrix = ingest_text([("d1", "a b a"), ("d2", "b c")])
         with pytest.raises(TypeError):
             matrix.columns[0][0] = 7
-        assert matrix.columns[0].get(0, 0) == 2
+        for field in ("indices", "counts"):
+            with pytest.raises(AttributeError):
+                setattr(matrix.columns[0], field, (99, 1))
+        # a column is the pair of its two tuples, and nothing else
+        for column in matrix.columns:
+            assert tuple(column) == (column.indices, column.counts)
+        assert matrix.columns[0] == ((0, 1), (2, 1))
+        assert matrix.cell_stats(0, 0).n_ij == 2
 
 
 def assert_matches_cell_by_cell(matrix, vocab, docs, cells):
@@ -387,12 +394,12 @@ def assert_matches_cell_by_cell(matrix, vocab, docs, cells):
     assert matrix.col_totals == tuple(col)
     assert matrix.doc_freq == tuple(freq)
     assert matrix.grand_total == sum(row)
-    assert [list(column.items()) for column in matrix.columns] == [
+    assert [list(zip(*column)) for column in matrix.columns] == [
         sorted((i, c) for (i, jj), c in cells.items() if jj == j and c) for j in range(d)
     ]
     for i in range(m):
         for j in range(d):
-            assert matrix.columns[j].get(i, 0) == cells.get((i, j), 0)
+            assert matrix.cell_stats(i, j).n_ij == cells.get((i, j), 0)
     rebuilt = ingest_counts(export_counts(matrix))
     assert rebuilt == matrix
     assert (rebuilt.vocab, rebuilt.docs) == (matrix.vocab, matrix.docs)
@@ -499,7 +506,7 @@ class TestColumnConstructor:
         rows = [("z0", "d1", 0), ("a", "d1", 2), ("z1", "d2", 0), ("b", "d2", 1), ("a", "d2", 1)]
         matrix = ingest_counts(rows)
         assert matrix.vocab == ("a", "b")
-        assert [dict(column) for column in matrix.columns] == [{0: 2}, {0: 1, 1: 1}]
+        assert [dict(zip(*column)) for column in matrix.columns] == [{0: 2}, {0: 1, 1: 1}]
 
 
 class TestFileFormats:

@@ -250,35 +250,6 @@ class TestWeighMatrix:
         records = list(weigh_matrix(matrix))
         assert len(calls) == len(records) == sum(matrix.doc_freq)
 
-    def test_the_walks_look_up_no_cell_by_its_term(self, monkeypatch):
-        # a column's cells are walked from its two tuples: --include-zeros
-        # visits every term of a column without a lookup per term, and each
-        # memo miss bisects the column in cell_stats
-        matrix = ingest_counts(
-            [("a", "d1", 2), ("c", "d1", 1), ("b", "d2", 3), ("a", "d3", 0),
-             ("d", "d4", 1), ("a", "d4", 4), ("b", "d4", 1)]
-        )
-        column_type = type(matrix.columns[0])
-        lookups = []
-
-        def counting(name):
-            inherited = getattr(column_type, name)
-
-            def lookup(self, *args):
-                lookups.append(name)
-                return inherited(self, *args)
-
-            return lookup
-
-        for name in ("get", "__getitem__"):
-            monkeypatch.setattr(column_type, name, counting(name))
-        for include_zeros in (True, False):
-            assert_matches_cell_by_cell(matrix, include_zeros)
-        for scheme in termfisher.weights.RANK_SCHEMES:
-            termfisher.weights.rank_matrix(matrix, scheme, 2)
-        assert lookups == []
-        assert matrix.columns[3].get(0) == 4 and lookups == ["get", "__getitem__"]  # counted
-
 
 def reference_record(matrix, i, j):
     """The record for cell (i, j), built alone from the public per-cell schemes."""
@@ -330,7 +301,7 @@ def assert_matches_cell_by_cell(matrix, include_zeros, schemes=None):
     if include_zeros:
         cells = [(i, j) for j in range(matrix.d) for i in range(matrix.m)]
     else:
-        cells = [(i, j) for j, column in enumerate(matrix.columns) for i in column]
+        cells = [(i, j) for j, column in enumerate(matrix.columns) for i in column.indices]
     expected = [
         reference_record(matrix, i, j) for i, j in cells if matrix.col_totals[j] > 0
     ]
@@ -426,7 +397,7 @@ class TestWeighMatrixMemo:
         # documents of lengths 2, 3 and 2: tfidf and tficf do not read n_j
         matrix = ingest_text([("d1", "a b"), ("d2", "a b c"), ("d3", "c c")])
         records = list(weigh_matrix(matrix, {"tfidf", "tficf"}))
-        stats = [cell_stats(matrix, i, j) for j, column in enumerate(matrix.columns) for i in column]
+        stats = [cell_stats(matrix, i, j) for j, column in enumerate(matrix.columns) for i in column.indices]
         assert len(calls) == len({(s.n_ij, s.n_i, s.b_i) for s in stats}) == 3
         assert len({(s.n_ij, s.n_i, s.n_j, s.b_i) for s in stats}) == 4
         assert len(records) == 6
@@ -447,7 +418,7 @@ class TestWeighMatrixMemo:
         records = list(weigh_matrix(matrix, {"tfidf"}))
         keys = {
             (s.n_ij, s.n_i, s.b_i)
-            for s in (matrix.cell_stats(i, j) for j, column in enumerate(matrix.columns) for i in column)
+            for s in (matrix.cell_stats(i, j) for j, column in enumerate(matrix.columns) for i in column.indices)
         }
         assert len(calls["idf"]) == len(keys) < len(records)
         assert calls["icf"] == []
@@ -498,7 +469,7 @@ class TestWeighMatrixMemo:
         records = list(weigh_matrix(matrix))
         keys = set()
         for j, column in enumerate(matrix.columns):
-            for i in column:
+            for i in column.indices:
                 stats = matrix.cell_stats(i, j)
                 keys.add((stats.n_ij, stats.n_i, stats.n_j, stats.b_i))
         assert len(calls) == len(keys) < len(records)
@@ -570,7 +541,7 @@ class TestWeighMatrixMemo:
         )
         pairs, misses = set(), set()
         for j, column in enumerate(matrix.columns):
-            for i in column:
+            for i in column.indices:
                 stats = matrix.cell_stats(i, j)
                 pairs.add((stats.n_j, stats.n_ij))
                 misses.add((stats.n_ij, stats.n_i, stats.n_j, stats.b_i))
