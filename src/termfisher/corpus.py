@@ -17,6 +17,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from contextlib import contextmanager
+from operator import ge
 from pathlib import Path
 from typing import Generator, Iterable, Iterator, NamedTuple, TextIO
 
@@ -26,6 +27,7 @@ from .errors import (
     EmptyCollectionError,
     IndexOutOfRangeError,
     InputFormatError,
+    InvalidColumnError,
     NegativeCountError,
 )
 
@@ -109,6 +111,19 @@ def _compact(column: Mapping[int, int]) -> _Column:
     return _Column(tuple(indices), tuple(map(column.__getitem__, indices)))
 
 
+def _pair(column: object, j: int) -> _Column:
+    """A plain (indices, counts) pair as column j, its zeros kept."""
+    try:
+        indices, counts = map(tuple, column)
+    except (TypeError, ValueError):
+        raise InvalidColumnError(f"column {j} is neither a mapping nor an (indices, counts) pair") from None
+    if len(indices) != len(counts):
+        raise InvalidColumnError(f"column {j}: {len(indices)} indices for {len(counts)} counts")
+    if any(map(ge, indices, indices[1:])):
+        raise InvalidColumnError(f"column {j}: term indices do not strictly ascend")
+    return _Column(indices, counts)
+
+
 class TermDocumentMatrix:
     """Immutable sparse count matrix with term/document registries.
 
@@ -119,14 +134,15 @@ class TermDocumentMatrix:
     count toward d). Counts are stored by column: per document, two tuples
     in ascending term order, the term indices of its positive counts and the
     counts, which matrix.columns[j] gives as the named pair (indices, counts).
-    The constructor takes any iterable of one mapping per document from term
-    index to count and draws them one at a time; it validates every cell and
-    stores each column sorted and without its zeros.
+    The constructor takes any iterable of one mapping from term index to
+    count, or one pair shaped as matrix.columns[j] (InvalidColumnError if it
+    is not one), per document and draws them one at a time; it validates
+    every cell and stores each column sorted and without its zeros.
     A column that the ingest functions compacted, as each document is read,
     is kept as it is unless it holds a zero, so the hand-over makes no copy.
     """
 
-    def __init__(self, vocab: Iterable[str], docs: Iterable[str], columns: Iterable[Mapping[int, int]]):
+    def __init__(self, vocab: Iterable[str], docs: Iterable[str], columns: Iterable[Mapping[int, int] | tuple]):
         self._vocab: tuple[str, ...] = tuple(vocab)
         self._docs: tuple[str, ...] = tuple(docs)
 
@@ -138,7 +154,7 @@ class TermDocumentMatrix:
         stored: list[_Column] = []
         for j, column in enumerate(columns):
             if type(column) is not _Column:
-                column = _compact(column)
+                column = _compact(column) if isinstance(column, Mapping) else _pair(column, j)
             indices, counts = column
             if indices and not (0 <= indices[0] and indices[-1] < m):
                 i = indices[0] if indices[0] < 0 else indices[-1]

@@ -25,6 +25,11 @@ class IndexOutOfRangeError(TermfisherError, IndexError):
     """A term or document index is outside the matrix."""
 
 
+class InvalidColumnError(TermfisherError, ValueError):
+    """A column given as a pair is not (indices, counts) of one length with
+    strictly ascending term indices."""
+
+
 class InvalidChooseError(TermfisherError, ValueError):
     """log_choose called with b > a or a negative argument."""
 

@@ -9,10 +9,10 @@ matrix; `rank_matrix` keeps each document's top k under one scheme.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from heapq import nsmallest
+from bisect import bisect_left, insort
 from itertools import starmap
 from math import exp, inf, log
+from operator import neg
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .corpus import CellStats, TermDocumentMatrix
@@ -271,8 +271,12 @@ def rank_matrix(
     other; nor does a cell whose score computes to 0 (its tail underflows),
     since the cells below it can compute 0 as well. A cell at the lower
     support edge (n_ij <= n_i + n_j - n) scores exactly 0 and is always
-    evaluated. The other schemes evaluate every cell, in column order: only
-    the dominance walk needs the cells sorted, and the heap orders the scores.
+    evaluated. The walk takes the cells by (n_ij descending, n_i ascending),
+    so once a pair is dominated, so is every later cell of its n_ij short of
+    the edge (nothing is evaluated in between to change the dominators): one
+    bisection skips that run. The other schemes evaluate every cell, in column
+    order. One sort of each document's (-score, term) pairs, which never tie,
+    orders its scores.
     """
     weighed, field = RANK_SCHEMES[scheme]
     record, reads_n_j, reads_b_i = _plan(frozenset({weighed}))
@@ -284,35 +288,38 @@ def rank_matrix(
     memo: dict[tuple[int, int, int, int], float | None] = {}  # key -> -score, or None for NA
     log_choose_memo: dict[tuple[int, int], float] = {}
     ranking = []
-    for j, column in enumerate(matrix.columns):
+    for j, (indices, counts) in enumerate(matrix.columns):
         n_j = col_totals[j]
         if n_j == 0:
             continue
         n_j_key = n_j if reads_n_j else 0
         edge = matrix.grand_total - n_j  # the lower support edge is n_i - edge
         above: list[int] = []  # n_i of the evaluated cells of earlier pairs that score above 0, sorted
-        pair = None
-        dominated = False
         scored = []
-        cells = [(-n_ij, row_totals[i], i) for i, n_ij in zip(column.indices, column.counts)]
+        cells = list(zip(map(neg, counts), map(row_totals.__getitem__, indices), indices))
         if prune:
             cells.sort()  # by (-n_ij, n_i): the cells that dominate a cell all come before its pair
-        for neg_n_ij, n_i, i in cells:
+        pos, end, pair = 0, len(cells), None
+        while pos < end:
+            neg_n_ij, n_i, i = cells[pos]
+            n_ij = -neg_n_ij
             if pair != (neg_n_ij, n_i):
                 pair = (neg_n_ij, n_i)
-                dominated = prune and bisect_right(above, n_i) >= top_k and -neg_n_ij > n_i - edge
-            if dominated:
-                continue
-            key = (-neg_n_ij, n_i, n_j_key, b_i_key[i])
+                if prune and len(above) >= top_k and above[top_k - 1] <= n_i and n_ij > n_i - edge:
+                    # dominated, and so is each later cell of n_ij short of the edge: skip them all
+                    pos = bisect_left(cells, (neg_n_ij, n_ij + edge), pos)
+                    continue
+            pos += 1
+            key = (n_ij, n_i, n_j_key, b_i_key[i])
             if key in memo:
-                neg = memo[key]
+                minus = memo[key]
             else:
                 value = record(matrix.cell_stats(i, j), log_choose_memo)[at]
-                neg = memo[key] = None if value is None else -float(value)
-            if neg is not None:
-                scored.append((neg, vocab[i]))
-                if prune and neg < 0.0:
+                minus = memo[key] = None if value is None else -float(value)
+            if minus is not None:
+                scored.append((minus, vocab[i]))
+                if prune and minus < 0.0:
                     insort(above, n_i)
-        # the highest score first, ties by ascending term: the smallest (-score, term)
-        ranking.append((docs[j], [(term, -neg) for neg, term in nsmallest(top_k, scored)]))
+        scored.sort()  # the highest score first, ties by ascending term: (-score, term) never tie
+        ranking.append((docs[j], [(term, -minus) for minus, term in scored[:top_k]]))
     return ranking

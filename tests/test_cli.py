@@ -713,6 +713,15 @@ class TestRankPruning:
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (DATA / "golden_rank_counts.tsv").read_bytes()
 
+    def test_cor1_approx_matches_golden_bytes(self, capsys):
+        # stored order, one sort and a slice per document, and scores below 0
+        code, out, err = run_cli(
+            "rank", "--input", CORPUS, "--format", "jsonl", "--scheme", "cor1_approx", "--top-k", "5",
+            capsys=capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (DATA / "golden_rank_cor1.tsv").read_bytes()
+
     def test_kernel_calls_fall_to_the_undominated_keys(self, monkeypatch, capsys):
         calls = self.counting_kernel(monkeypatch)
         code, _, _ = run_cli(
@@ -1195,16 +1204,23 @@ class TestStartUp:
         "binomial_decay_check",
     )
 
-    def test_import_leaves_out_dataclasses_inspect_and_verify(self):
-        code = (
-            "import sys, termfisher.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'termfisher.verify'} & set(sys.modules)))"
-        )
+    @staticmethod
+    def loaded_by_import(names):
+        """The (exit code, stdout, stderr) of printing which of names a fresh
+        `python -S` has in sys.modules after `import termfisher.cli`."""
+        code = f"import sys, termfisher.cli; print(sorted({set(names)!r} & set(sys.modules)))"
         result = subprocess.run(
             [sys.executable, "-S", "-c", code],
             env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
         )
-        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+        return result.returncode, result.stdout, result.stderr
+
+    def test_import_leaves_out_dataclasses_inspect_and_verify(self):
+        assert self.loaded_by_import({"dataclasses", "inspect", "termfisher.verify"}) == (0, "[]\n", "")
+
+    def test_import_loads_no_heapq(self):
+        # rank takes each document's top k with one sort and a slice
+        assert self.loaded_by_import({"heapq"}) == (0, "[]\n", "")
 
     def test_verify_names_are_attributes_of_cli(self):
         import termfisher.cli

@@ -25,6 +25,7 @@ from termfisher.errors import (
     EmptyCollectionError,
     IndexOutOfRangeError,
     InputFormatError,
+    InvalidColumnError,
     NegativeCountError,
 )
 
@@ -332,6 +333,42 @@ class TestMatrixInvariants:
         assert built == TermDocumentMatrix(("a", "b", "c"), ("d1", "d2", "d3"), columns)
         assert built.row_totals == (2, 5, 3)
         assert built.col_totals == (5, 0, 5)
+
+    def test_a_column_in_the_shape_of_matrix_columns(self):
+        matrix = TermDocumentMatrix(("a", "b"), ("d1",), [((0, 1), (2, 1))])
+        assert matrix == TermDocumentMatrix(("a", "b"), ("d1",), [{0: 2, 1: 1}])
+        assert matrix.columns[0] == ((0, 1), (2, 1))
+        # plain copies of a matrix's columns, an empty one included, rebuild it
+        source = ingest_text([("d1", "a b a"), ("d2", ""), ("d3", "b c")])
+        assert TermDocumentMatrix(source.vocab, source.docs, [tuple(c) for c in source.columns]) == source
+        # a pair of lists, and mappings mixed with pairs; a zero count is dropped
+        mixed = TermDocumentMatrix(("a", "b", "c"), ("d1", "d2", "d3"), [([0, 1], [2, 1]), {}, ((1, 2), (0, 1))])
+        assert mixed == TermDocumentMatrix(("a", "b", "c"), ("d1", "d2", "d3"), [{0: 2, 1: 1}, {}, {2: 1}])
+        assert mixed.columns[2] == ((2,), (1,))
+        # a pair's cells are validated as a mapping's are
+        with pytest.raises(NegativeCountError, match=r"^negative count at cell \(1, 0\)$"):
+            TermDocumentMatrix(("a", "b"), ("d1",), [((0, 1), (2, -1))])
+        with pytest.raises(IndexOutOfRangeError, match=r"^cell \(2, 0\) outside 2x1 matrix$"):
+            TermDocumentMatrix(("a", "b"), ("d1",), [((0, 2), (2, 1))])
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            (((0, 1), (2,)), "column 1: 2 indices for 1 counts"),
+            (((0,), (2, 1)), "column 1: 1 indices for 2 counts"),
+            (((1, 0), (1, 2)), "column 1: term indices do not strictly ascend"),
+            (((0, 0), (1, 2)), "column 1: term indices do not strictly ascend"),
+            (((0, 1), (2, 1), ()), "column 1 is neither a mapping nor an (indices, counts) pair"),
+            (((0, 1),), "column 1 is neither a mapping nor an (indices, counts) pair"),
+            (7, "column 1 is neither a mapping nor an (indices, counts) pair"),
+        ],
+        ids=["short-counts", "short-indices", "descending", "repeated", "triple", "single", "int"],
+    )
+    def test_a_pair_that_is_no_column_is_invalid(self, column, message):
+        with pytest.raises(InvalidColumnError) as excinfo:
+            TermDocumentMatrix(("a", "b"), ("d1", "d2"), [{0: 1}, column])
+        assert str(excinfo.value) == message
+        assert isinstance(excinfo.value, ValueError)
 
     @pytest.mark.parametrize("count", [1, 3, 4], ids=["too-few", "one-too-many", "two-too-many"])
     def test_a_one_shot_iterator_of_the_wrong_length(self, count):

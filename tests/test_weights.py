@@ -25,6 +25,7 @@ from termfisher.corpus import CellStats, TermDocumentMatrix, ingest_counts, inge
 from termfisher.errors import UndefinedPhiError, UndefinedQuotientError
 from termfisher.numerics import HypergeomParams, log_hypergeom_tail
 from termfisher.weights import (
+    RANK_SCHEMES,
     SCHEMES,
     WeightRecord,
     fisher_weight,
@@ -33,6 +34,7 @@ from termfisher.weights import (
     phi,
     psi,
     q_ij,
+    rank_matrix,
     tfidf,
     tficf,
     weigh_matrix,
@@ -620,6 +622,64 @@ class TestOneWalkTwoConsumers:
             calls_by_key.setdefault(key, set()).add(call)
         assert all(len(calls) == 1 for calls in calls_by_key.values())
         assert len(tails) == len(calls_by_key)
+
+
+@st.composite
+def edge_count_rows(draw):
+    """Counts rows of one document d0 beside documents that hold only its first
+    term, so that cell sits at the lower support edge (n_ij = n_i + n_j - n)
+    and scores exactly 0. Term names fall as their indices rise, so a tie
+    among d0's cells is broken against the order in which they are stored."""
+    counts = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=7))
+    others = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
+    rows = [(f"t{9 - i}", "d0", c) for i, c in enumerate(counts)]
+    return rows + [("t9", f"e{j}", c) for j, c in enumerate(others)]
+
+
+class TestRankMatrix:
+    """rank_matrix keeps what sorting every weighed cell keeps, and under
+    fisher evaluates only the cells that fewer than top_k others dominate."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.one_of(count_rows(), repeating_count_rows(), edge_count_rows()), st.data())
+    def test_equals_sorting_every_weighed_cell(self, rows, data):
+        matrix = ingest_counts(rows)
+        # from 1 to past the longest column: a cut inside a tie group, and none
+        top_k = data.draw(st.integers(1, max(len(column.indices) for column in matrix.columns) + 2))
+        n = matrix.grand_total
+        every, undominated = set(), set()  # kernel keys (n_ij + 1, n_i, n_j, n)
+        for j, (indices, counts) in enumerate(matrix.columns):
+            n_j = matrix.col_totals[j]
+            cells = [(n_ij, matrix.row_totals[i]) for i, n_ij in zip(indices, counts)]
+            for a, b in cells:
+                every.add((a + 1, b, n_j, n))
+                dominators = sum(a2 >= a and b2 <= b and (a2, b2) != (a, b) for a2, b2 in cells)
+                if dominators < top_k or a <= b + n_j - n:
+                    undominated.add((a + 1, b, n_j, n))
+        for scheme, (weighed, field) in RANK_SCHEMES.items():
+            calls = []
+            kernel = termfisher.weights.log_hypergeom_tail
+
+            def counting(params, memo=None):
+                calls.append(tuple(params))
+                return kernel(params, memo)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(termfisher.weights, "log_hypergeom_tail", counting)
+                ranking = rank_matrix(matrix, scheme, top_k)
+            scored = {doc: [] for doc, n_j in zip(matrix.docs, matrix.col_totals) if n_j}
+            for record in weigh_matrix(matrix, {weighed}):
+                value = getattr(record, field)
+                if value is not None:
+                    scored[record.doc].append((-float(value), record.term))
+            expected = [
+                (doc, [(term, -neg) for neg, term in sorted(cells)[:top_k]]) for doc, cells in scored.items()
+            ]
+            assert ranking == expected, scheme
+            if scheme == "fisher":  # counts of at most 4 in at most 25 cells: no tail underflows
+                assert sorted(calls) == sorted(undominated)
+            else:  # every cell is evaluated; a key with b_i may repeat a tail
+                assert set(calls) == (every if weighed in ("phi", "psi", "approximations") else set()), scheme
 
 
 class TestWeightInvariants:
