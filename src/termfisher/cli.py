@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import partial
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import __version__
@@ -61,7 +60,7 @@ def __getattr__(name: str):  # PEP 562: verify's names resolve as attributes of 
 def _emit(lines: Iterable[str], output: str | None) -> None:
     """Write lines (each with its own newline) to --output or stdout."""
     if output:
-        with Path(output).open("w", encoding="utf-8", newline="") as handle:
+        with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(lines)
     else:
         sys.stdout.writelines(lines)

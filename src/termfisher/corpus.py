@@ -16,10 +16,8 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
-from contextlib import contextmanager
 from operator import ge
-from pathlib import Path
-from typing import Generator, Iterable, Iterator, NamedTuple, TextIO
+from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DuplicateCellError,
@@ -29,6 +27,7 @@ from .errors import (
     InputFormatError,
     InvalidColumnError,
     NegativeCountError,
+    NonIntegerCellError,
 )
 
 # Tokens are maximal runs of alphanumeric characters (Unicode-aware, underscore
@@ -137,7 +136,9 @@ class TermDocumentMatrix:
     The constructor takes any iterable of one mapping from term index to
     count, or one pair shaped as matrix.columns[j] (InvalidColumnError if it
     is not one), per document and draws them one at a time; it validates
-    every cell and stores each column sorted and without its zeros.
+    every cell and stores each column sorted and without its zeros. Each
+    term index and count must be an int: anything else, a bool included,
+    raises NonIntegerCellError.
     A column that the ingest functions compacted, as each document is read,
     is kept as it is unless it holds a zero, so the hand-over makes no copy.
     """
@@ -153,21 +154,27 @@ class TermDocumentMatrix:
         freq = [0] * m
         stored: list[_Column] = []
         for j, column in enumerate(columns):
-            if type(column) is not _Column:
-                column = _compact(column) if isinstance(column, Mapping) else _pair(column, j)
-            indices, counts = column
-            if indices and not (0 <= indices[0] and indices[-1] < m):
-                i = indices[0] if indices[0] < 0 else indices[-1]
-                raise IndexOutOfRangeError(f"cell ({i}, {j}) outside {m}x{d} matrix")
-            if counts and min(counts) <= 0:
-                i = next((i for i, c in zip(indices, counts) if c < 0), None)
-                if i is not None:
-                    raise NegativeCountError(f"negative count at cell ({i}, {j})")
-                column = _compact({i: c for i, c in zip(indices, counts) if c})
+            try:  # a TypeError here is a term index or count that is no int
+                if type(column) is not _Column:
+                    column = _compact(column) if isinstance(column, Mapping) else _pair(column, j)
                 indices, counts = column
-            for i, c in zip(indices, counts):
-                row[i] += c
-                freq[i] += 1
+                if indices and not (0 <= indices[0] and indices[-1] < m):
+                    i = indices[0] if indices[0] < 0 else indices[-1]
+                    raise IndexOutOfRangeError(f"cell ({i}, {j}) outside {m}x{d} matrix")
+                if counts and min(counts) <= 0:
+                    i = next((i for i, c in zip(indices, counts) if c < 0), None)
+                    if i is not None:
+                        raise NegativeCountError(f"negative count at cell ({i}, {j})")
+                    # a zero that is no int (0.0, False) is kept for the loop below to refuse
+                    column = _compact({i: c for i, c in zip(indices, counts) if c or type(c) is not int})
+                    indices, counts = column
+                for i, c in zip(indices, counts):
+                    if type(i) is not int or type(c) is not int:
+                        raise TypeError
+                    row[i] += c
+                    freq[i] += 1
+            except TypeError:
+                raise NonIntegerCellError(f"column {j}: a term index or count is not an int") from None
             stored.append(column)
         if len(stored) != d:
             raise IndexOutOfRangeError(f"{len(stored)} columns for {d} documents")
@@ -351,28 +358,24 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
 # -- file formats -------------------------------------------------------------
 
 
-@contextmanager
-def open_text(path: str | Path, newline: str | None) -> Iterator[Iterator[str]]:
+def _utf8_lines(path: str, newline: str | None) -> Iterator[str]:
     """The lines of a UTF-8 text file (newline as in open()), each checked as it
     is read: the first line that holds bytes that are not UTF-8 raises
-    InputFormatError at that line, so a fault on an earlier line is met first."""
-    path = Path(path)
+    InputFormatError at that line, so a fault on an earlier line is met first.
+    The file opens at the first line drawn and closes when the generator ends,
+    is closed or is finalized."""
     # surrogateescape turns each undecodable byte into a lone surrogate
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline=newline) as handle:
-        yield _utf8_lines(handle, path)
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:  # the line's bytes again, decoded strictly
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise InputFormatError(f"invalid UTF-8: {exc.reason}", path=path, line=lineno) from None
+            yield line
 
 
-def _utf8_lines(handle: TextIO, path: Path) -> Iterator[str]:
-    for lineno, line in enumerate(handle, start=1):
-        if not line.isascii():
-            try:  # the line's bytes again, decoded strictly
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise InputFormatError(f"invalid UTF-8: {exc.reason}", path=str(path), line=lineno) from None
-        yield line
-
-
-def _checked_name(name: str, what: str, path: Path, line: int) -> str:
+def _checked_name(name: str, what: str, path: str, line: int) -> str:
     """name, if it can be written as one TSV field; else InputFormatError.
 
     A name may not hold what would break a TSV row (tab, CR, LF) or what
@@ -385,33 +388,33 @@ def _checked_name(name: str, what: str, path: Path, line: int) -> str:
                 raise InputFormatError(
                     f"{what} {name!r} holds {char!r}: a name may not hold a tab, CR, LF "
                     "or lone surrogate (bytes that are not UTF-8)",
-                    path=str(path),
+                    path=path,
                     line=line,
                 )
     return name
 
 
-def csv_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+def csv_rows(path: str | os.PathLike[str], header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Each nonblank record after the exact header at line 1, with the physical
     line it starts on (a quoted field may hold a newline, so records and lines
     can differ). A wrong header, or a record the csv module cannot read, raises
     InputFormatError at its line, naming path as the caller passed it."""
-    with open_text(path, "") as lines:
-        reader = csv.reader(lines)
-        line = 1
-        try:
-            first = next(reader, None)
-            if first is None or tuple(first) != header:
-                raise InputFormatError(
-                    f"expected header {','.join(header)!r}, got {first!r}", path=str(path), line=1
-                )
+    path = os.fspath(path)
+    reader = csv.reader(_utf8_lines(path, ""))
+    line = 1
+    try:
+        first = next(reader, None)
+        if first is None or tuple(first) != header:
+            raise InputFormatError(
+                f"expected header {','.join(header)!r}, got {first!r}", path=path, line=1
+            )
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                yield line, row
             line = reader.line_num + 1
-            for row in reader:
-                if row:
-                    yield line, row
-                line = reader.line_num + 1
-        except csv.Error as exc:
-            raise InputFormatError(f"unreadable CSV record: {exc}", path=str(path), line=line) from None
+    except csv.Error as exc:
+        raise InputFormatError(f"unreadable CSV record: {exc}", path=path, line=line) from None
 
 
 def ascii_int(raw: str) -> int:
@@ -432,7 +435,7 @@ def ascii_float(raw: str) -> float:
     raise ValueError(f"not a number in ASCII: {raw!r}")
 
 
-def read_counts_csv(path: str | Path) -> Generator[tuple[str, str, int], None, None]:
+def read_counts_csv(path: str | os.PathLike[str]) -> Generator[tuple[str, str, int], None, None]:
     """Yield the rows of a counts CSV with the exact header term,doc,count.
 
     Each distinct term or doc name is checked once and kept as one string
@@ -441,12 +444,12 @@ def read_counts_csv(path: str | Path) -> Generator[tuple[str, str, int], None, N
     (ingest_counts found it repeats a pair) is raised as InputFormatError at
     that row's line.
     """
-    path = Path(path)
+    path = os.fspath(path)
     names: dict[str, str] = {}
     counts: dict[str, int] = {}
     for lineno, row in csv_rows(path, COUNTS_CSV_HEADER):
         if len(row) != 3:
-            raise InputFormatError(f"expected 3 fields, got {len(row)}", path=str(path), line=lineno)
+            raise InputFormatError(f"expected 3 fields, got {len(row)}", path=path, line=lineno)
         term, doc, raw = row
         count = counts.get(raw)
         if count is None:
@@ -454,10 +457,10 @@ def read_counts_csv(path: str | Path) -> Generator[tuple[str, str, int], None, N
                 count = counts[raw] = ascii_int(raw)
             except ValueError:
                 raise InputFormatError(
-                    f"count {raw!r} is not an integer", path=str(path), line=lineno
+                    f"count {raw!r} is not an integer", path=path, line=lineno
                 ) from None
         if count < 0:
-            raise InputFormatError(f"count {count} is negative", path=str(path), line=lineno)
+            raise InputFormatError(f"count {count} is negative", path=path, line=lineno)
         if term not in names:
             names[term] = _checked_name(term, "term", path, lineno)
         if doc not in names:
@@ -465,41 +468,40 @@ def read_counts_csv(path: str | Path) -> Generator[tuple[str, str, int], None, N
         try:
             yield names[term], names[doc], count
         except DuplicateCellError as exc:
-            raise InputFormatError(str(exc), path=str(path), line=lineno) from None
+            raise InputFormatError(str(exc), path=path, line=lineno) from None
 
 
-def read_corpus_jsonl(path: str | Path) -> Iterator[tuple[str, str]]:
+def read_corpus_jsonl(path: str | os.PathLike[str]) -> Iterator[tuple[str, str]]:
     """Yield (id, text) for each line of a corpus JSONL file: one object per
     line with id and text; the first fault in file order is reported, at its
     line. A DuplicateDocIdError thrown in at a line's yield (ingest_text found
     it repeats an id) is raised as InputFormatError at that line."""
-    path = Path(path)
-    with open_text(path, None) as lines:
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # ValueError holds JSONDecodeError and an integer past the
-                # digit limit; RecursionError, nesting past the stack
-                raise InputFormatError(
-                    f"invalid JSON: {getattr(exc, 'msg', exc)}", path=str(path), line=lineno
-                ) from None
-            if not isinstance(obj, dict) or not isinstance(obj.get("id"), str) or not isinstance(obj.get("text"), str):
-                raise InputFormatError(
-                    "each line must be an object with string fields 'id' and 'text'",
-                    path=str(path),
-                    line=lineno,
-                )
-            try:
-                yield _checked_name(obj["id"], "id", path, lineno), obj["text"]
-            except DuplicateDocIdError as exc:
-                raise InputFormatError(str(exc), path=str(path), line=lineno) from None
+    path = os.fspath(path)
+    for lineno, line in enumerate(_utf8_lines(path, None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            # ValueError holds JSONDecodeError and an integer past the
+            # digit limit; RecursionError, nesting past the stack
+            raise InputFormatError(
+                f"invalid JSON: {getattr(exc, 'msg', exc)}", path=path, line=lineno
+            ) from None
+        if not isinstance(obj, dict) or not isinstance(obj.get("id"), str) or not isinstance(obj.get("text"), str):
+            raise InputFormatError(
+                "each line must be an object with string fields 'id' and 'text'",
+                path=path,
+                line=lineno,
+            )
+        try:
+            yield _checked_name(obj["id"], "id", path, lineno), obj["text"]
+        except DuplicateDocIdError as exc:
+            raise InputFormatError(str(exc), path=path, line=lineno) from None
 
 
-def read_text_dir(path: str | Path) -> Iterator[tuple[str, str]]:
+def read_text_dir(path: str | os.PathLike[str]) -> Iterator[tuple[str, str]]:
     """Yield (stem, text) for every .txt file in a directory, in name order.
 
     A missing path or one that is not a directory raises the matching OSError
@@ -508,24 +510,18 @@ def read_text_dir(path: str | Path) -> Iterator[tuple[str, str]]:
     DuplicateDocIdError thrown in at a file's yield (ingest_text found a
     second file of its stem, as ".txt" and ".txt.txt").
     """
-    path = Path(path)
+    path = os.fspath(path)
     for name in sorted(os.listdir(path)):
         if name.endswith(".txt"):
-            file = path / _checked_name(name, "file name", path, 0)
-            with open_text(file, None) as lines:
-                text = "".join(lines)
+            file = os.path.join(path, _checked_name(name, "file name", path, 0))
+            text = "".join(_utf8_lines(file, None))
             try:
-                yield file.stem, text
+                yield name[:-4] or name, text  # the stem: ".txt" is its own
             except DuplicateDocIdError as exc:
-                raise InputFormatError(str(exc), path=str(path)) from None
+                raise InputFormatError(str(exc), path=path) from None
 
 
-def read_stopwords(path: str | Path) -> frozenset[str]:
+def read_stopwords(path: str | os.PathLike[str]) -> frozenset[str]:
     """One stopword per line; blanks skipped; lowercased to match tokenization."""
-    words = set()
-    with open_text(path, None) as lines:
-        for line in lines:
-            word = line.strip().lower()
-            if word:
-                words.add(word)
-    return frozenset(words)
+    words = (line.strip().lower() for line in _utf8_lines(os.fspath(path), None))
+    return frozenset(word for word in words if word)

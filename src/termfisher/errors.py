@@ -30,6 +30,11 @@ class InvalidColumnError(TermfisherError, ValueError):
     strictly ascending term indices."""
 
 
+class NonIntegerCellError(TermfisherError, TypeError):
+    """A term index or count given to the matrix is not an int; a bool is
+    rejected too, though Python counts it as one."""
+
+
 class InvalidChooseError(TermfisherError, ValueError):
     """log_choose called with b > a or a negative argument."""
 

@@ -239,10 +239,13 @@ class TestWeigh:
     def test_textdir_input(self, tmp_path, capsys):
         (tmp_path / "one.txt").write_text("alpha beta alpha", encoding="utf-8")
         (tmp_path / "two.txt").write_text("beta gamma", encoding="utf-8")
+        # each id is the name less its last ".txt", as pathlib's stem gives it
+        for name in (".txt", "..txt", "a.b.txt"):
+            (tmp_path / name).write_text("delta", encoding="utf-8")
         code, out, _ = run_cli("weigh", "--input", str(tmp_path), "--format", "textdir", capsys=capsys)
         assert code == 0
         docs = {line.split("\t")[1] for line in out.splitlines()[1:]}
-        assert docs == {"one", "two"}
+        assert docs == {"one", "two", ".txt", ".", "a.b"}
 
 
 def _render_by_field(tail: tuple) -> str:
@@ -332,6 +335,51 @@ class TestInvalidUtf8:
         code, _, err = run_cli("weigh", "--input", str(bad), "--format", "jsonl", capsys=capsys)
         assert code == 2
         assert err == f"error: {bad}:2: invalid UTF-8: invalid continuation byte\n"
+
+
+class TestPathsAsPassed:
+    """An error that names an input names it as the argument gave it, ./ and a
+    trailing / kept, in every message about that input."""
+
+    NAME_RULE = "a name may not hold a tab, CR, LF or lone surrogate (bytes that are not UTF-8)"
+    COUNTS = ("weigh", "--format", "counts", "--input", "./c.csv")
+    JSONL = ("weigh", "--format", "jsonl", "--input", "./c.jsonl")
+    TEXTDIR = ("weigh", "--format", "textdir", "--input", "./dir/")
+
+    @pytest.mark.parametrize(
+        "files, argv, code, err",
+        [
+            ({"c.csv": b"term,document,count\na,d1,1\n"}, COUNTS, 2,
+             "./c.csv:1: expected header 'term,doc,count', got ['term', 'document', 'count']"),
+            ({"c.csv": b"term,doc,count\na,d1,1\n\xff,d1,2\n"}, COUNTS, 2,
+             "./c.csv:3: invalid UTF-8: invalid start byte"),
+            ({"c.csv": b"term,doc,count\na,d1,x\n"}, COUNTS, 2, "./c.csv:2: count 'x' is not an integer"),
+            ({"c.csv": b"term,doc,count\na,d1,1" + b"0" * 154 + b"\n"}, COUNTS, 2,
+             "./c.csv: counts too large for float arithmetic"),
+            ({"g.csv": b"n,n_i\n"}, ("sweep", "--grid-file", "./g.csv"), 2,
+             "./g.csv:1: expected header 'n,n_i,n_j,n_ij', got ['n', 'n_i']"),
+            ({"g.csv": b"n,n_i,n_j,n_ij\n100,10,5,x\n"}, ("sweep", "--grid-file", "./g.csv"), 2,
+             "./g.csv:2: grid rows must be four integers"),
+            ({"c.jsonl": b'{"id": "d1", "text": "a"}\n{bad\n'}, JSONL, 2,
+             "./c.jsonl:2: invalid JSON: Expecting property name enclosed in double quotes"),
+            ({"s.txt": b"the\n\xff\n"}, (*JSONL[:-1], CORPUS, "--stopwords", "./s.txt"), 2,
+             "./s.txt:2: invalid UTF-8: invalid start byte"),
+            ({"dir/a.txt": b"alpha\n\xff\n"}, TEXTDIR, 2, "./dir/a.txt:2: invalid UTF-8: invalid start byte"),
+            ({"dir/a\tb.txt": b"alpha"}, TEXTDIR, 2,
+             f"./dir/: file name 'a\\tb.txt' holds '\\t': {NAME_RULE}"),
+            ({}, JSONL, 1, "[Errno 2] No such file or directory: './c.jsonl'"),
+        ],
+        ids=[
+            "counts-header", "counts-utf8", "counts-count", "counts-too-large", "grid-header", "grid-row",
+            "jsonl", "stopwords", "textdir-utf8", "textdir-name", "missing",
+        ],
+    )
+    def test_error_names_the_path_as_passed(self, files, argv, code, err, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, data in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(data)
+        assert run_cli(*argv, capsys=capsys) == (code, "", f"error: {err}\n")
 
 
 class TestRepeatedKeys:
@@ -1068,7 +1116,8 @@ class TestSweep:
 
 
 class TestGoldenReports:
-    """table, as text and as CSV, and the default sweep as text print these bytes.
+    """table, as text and as CSV, the default sweep as text, and weigh over the
+    corpus written as a text directory print these bytes.
 
     The sweep CSV is left out: it prints full repr floats, whose last digit
     can differ from one libm to another.
@@ -1080,6 +1129,7 @@ class TestGoldenReports:
             (("table",), "golden_table.txt"),
             (("table", "--format", "csv"), "golden_table.csv"),
             (("sweep",), "golden_sweep.txt"),
+            (("weigh", "--input", str(DATA / "textdir"), "--format", "textdir"), "golden_weigh.tsv"),
         ],
     )
     def test_output_matches_golden_bytes(self, argv, golden, capsys):
@@ -1216,7 +1266,9 @@ class TestStartUp:
         return result.returncode, result.stdout, result.stderr
 
     def test_import_leaves_out_dataclasses_inspect_and_verify(self):
-        assert self.loaded_by_import({"dataclasses", "inspect", "termfisher.verify"}) == (0, "[]\n", "")
+        # the readers take each path as the string the caller passed, so nothing loads pathlib
+        names = {"dataclasses", "inspect", "termfisher.verify", "pathlib"}
+        assert self.loaded_by_import(names) == (0, "[]\n", "")
 
     def test_import_loads_no_heapq(self):
         # rank takes each document's top k with one sort and a slice

@@ -27,6 +27,7 @@ from termfisher.errors import (
     InputFormatError,
     InvalidColumnError,
     NegativeCountError,
+    NonIntegerCellError,
 )
 
 
@@ -369,6 +370,27 @@ class TestMatrixInvariants:
             TermDocumentMatrix(("a", "b"), ("d1", "d2"), [{0: 1}, column])
         assert str(excinfo.value) == message
         assert isinstance(excinfo.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            {0: 1.5, 1: 1}, {0: 2, 1: 1.0}, {0: float("nan"), 1: 1}, {0: 2, 1: 0.0}, {0: True, 1: 1},
+            {0: 2, 1: False}, {0: "1"}, {0.0: 1, 1: 1}, {0: 1, "b": 1}, {False: 1, 1: 1},
+            ((0, 1), (1.5, 1)), ((0, 0.5), (1, 1)), (("a", "b"), (1, 1)), ((0, 1), (1, None)),
+        ],
+        ids=[
+            "float", "integral-float", "nan", "float-zero", "true", "false-zero", "str-count", "float-index",
+            "str-index", "false-index", "pair-float", "pair-float-index", "pair-str-index", "pair-none",
+        ],
+    )
+    def test_an_index_or_count_that_is_no_int_is_refused(self, column):
+        with pytest.raises(NonIntegerCellError, match=r"^column 1: a term index or count is not an int$") as excinfo:
+            TermDocumentMatrix(("a", "b"), ("d1", "d2"), [{0: 1}, column])
+        assert isinstance(excinfo.value, TypeError)
+
+    def test_ingest_counts_refuses_a_count_that_is_no_int(self):
+        with pytest.raises(NonIntegerCellError, match=r"^column 0: "):
+            ingest_counts([("a", "d1", 2.5), ("b", "d1", 1)])
 
     @pytest.mark.parametrize("count", [1, 3, 4], ids=["too-few", "one-too-many", "two-too-many"])
     def test_a_one_shot_iterator_of_the_wrong_length(self, count):
