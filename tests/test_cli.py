@@ -362,7 +362,8 @@ class TestPathsAsPassed:
              "./g.csv:2: grid rows must be four integers"),
             ({"c.jsonl": b'{"id": "d1", "text": "a"}\n{bad\n'}, JSONL, 2,
              "./c.jsonl:2: invalid JSON: Expecting property name enclosed in double quotes"),
-            ({"s.txt": b"the\n\xff\n"}, (*JSONL[:-1], CORPUS, "--stopwords", "./s.txt"), 2,
+            ({"s.txt": b"the\n\xff\n"},
+             ("weigh", "--format", "jsonl", "--input", CORPUS, "--stopwords", "./s.txt"), 2,
              "./s.txt:2: invalid UTF-8: invalid start byte"),
             ({"dir/a.txt": b"alpha\n\xff\n"}, TEXTDIR, 2, "./dir/a.txt:2: invalid UTF-8: invalid start byte"),
             ({"dir/a\tb.txt": b"alpha"}, TEXTDIR, 2,
