@@ -300,10 +300,10 @@ def ingest_text(
 def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
     """Build a matrix from explicit (term, doc, count) rows.
 
-    Counts must be nonnegative and (term, doc) pairs unique. Zero rows
-    register the document (and establish mention order) but contribute no
-    occurrences; terms whose total ends up zero are dropped from the
-    vocabulary.
+    Counts must be nonnegative ints (any other count, a bool included, raises
+    NonIntegerCellError naming its pair) and (term, doc) pairs unique. Zero
+    rows register the document (and establish mention order) but add no
+    occurrences; terms whose total ends up zero leave the vocabulary.
 
     Only the document being read is held as a dict: when the rows move on to
     another document, its column is compacted. A document whose rows come
@@ -317,6 +317,8 @@ def ingest_counts(rows: Iterable[tuple[str, str, int]]) -> TermDocumentMatrix:
     fresh = False  # its first row began this run of rows, so the run's end compacts it
 
     for term, row_doc, count in rows:
+        if type(count) is not int:
+            raise NonIntegerCellError(f"count {count!r} for ({term!r}, {row_doc!r}) is not an int")
         if count < 0:
             raise NegativeCountError(f"negative count {count} for ({term!r}, {row_doc!r})")
         i = terms.get(term)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from goldens import DATA, GOLDENS
 import termfisher.weights
 from termfisher.cli import _render, main
 from termfisher.corpus import (
@@ -27,11 +28,9 @@ from termfisher.corpus import (
 from termfisher.verify import VALIDATION_SETTINGS
 from termfisher.weights import RANK_SCHEMES, WeightRecord, weigh_matrix
 
-DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 CORPUS = str(DATA / "corpus.jsonl")
 GOLDEN = (DATA / "golden_weigh.tsv").read_text(encoding="utf-8")
-GOLDEN_RANK = (DATA / "golden_rank.tsv").read_bytes()
 CASE1_CSV = str(DATA / "table4_case1.csv")
 
 
@@ -42,11 +41,6 @@ def run_cli(*argv, capsys):
 
 
 class TestWeigh:
-    def test_matches_golden_output(self, capsys):
-        code, out, err = run_cli("weigh", "--input", CORPUS, "--format", "jsonl", capsys=capsys)
-        assert code == 0
-        assert out == GOLDEN
-
     def test_output_file_matches_stdout_stream(self, tmp_path, capsys):
         target = tmp_path / "weigh.tsv"
         code, out, _ = run_cli(
@@ -94,27 +88,6 @@ class TestWeigh:
             expected.append(len(keys))
         assert [count for _, count in written] == expected
         assert len(keys) < len(written) - 1  # some cells share a key
-
-    @pytest.mark.parametrize(
-        "argv, golden",
-        [
-            (("--input", CASE1_CSV, "--format", "counts", "--schemes", "tfidf,tficf", "--include-zeros"),
-             "golden_weigh_counts.tsv"),
-            (("--input", CORPUS, "--format", "jsonl", "--include-zeros"), "golden_weigh_zeros.tsv"),
-        ],
-    )
-    def test_include_zeros_matches_golden_bytes(self, argv, golden, capsys):
-        code, out, err = run_cli("weigh", *argv, capsys=capsys)
-        assert (code, err) == (0, "")
-        assert out.encode("utf-8") == (DATA / golden).read_bytes()
-
-    def test_mixed_schemes_match_golden_bytes(self, capsys):
-        # unselected slots print NA beside selected ones: a partial plan and the per-field render
-        code, out, err = run_cli(
-            "weigh", "--input", CORPUS, "--format", "jsonl", "--schemes", "fisher,phi,idf", capsys=capsys
-        )
-        assert (code, err) == (0, "")
-        assert out.encode("utf-8") == (DATA / "golden_weigh_mixed.tsv").read_bytes()
 
     def test_repeated_runs_are_byte_identical(self, capsys):
         _, first, _ = run_cli("weigh", "--input", CORPUS, "--format", "jsonl", capsys=capsys)
@@ -746,31 +719,6 @@ class TestRankPruning:
         monkeypatch.setattr(termfisher.weights, "log_hypergeom_tail", counting)
         return calls
 
-    def test_matches_golden_bytes(self, capsys):
-        code, out, err = run_cli(
-            "rank", "--input", CORPUS, "--format", "jsonl", "--top-k", "3", capsys=capsys
-        )
-        assert (code, err) == (0, "")
-        assert out.encode("utf-8") == GOLDEN_RANK
-
-    def test_counts_input_under_tficf_matches_golden_bytes(self, capsys):
-        # a scheme other than fisher walks each column in stored order
-        code, out, err = run_cli(
-            "rank", "--input", CASE1_CSV, "--format", "counts", "--scheme", "tficf", "--top-k", "3",
-            capsys=capsys,
-        )
-        assert (code, err) == (0, "")
-        assert out.encode("utf-8") == (DATA / "golden_rank_counts.tsv").read_bytes()
-
-    def test_cor1_approx_matches_golden_bytes(self, capsys):
-        # stored order, one sort and a slice per document, and scores below 0
-        code, out, err = run_cli(
-            "rank", "--input", CORPUS, "--format", "jsonl", "--scheme", "cor1_approx", "--top-k", "5",
-            capsys=capsys,
-        )
-        assert (code, err) == (0, "")
-        assert out.encode("utf-8") == (DATA / "golden_rank_cor1.tsv").read_bytes()
-
     def test_kernel_calls_fall_to_the_undominated_keys(self, monkeypatch, capsys):
         calls = self.counting_kernel(monkeypatch)
         code, _, _ = run_cli(
@@ -1117,26 +1065,18 @@ class TestSweep:
 
 
 class TestGoldenReports:
-    """table, as text and as CSV, the default sweep as text, and weigh over the
-    corpus written as a text directory print these bytes.
+    """Each command of tests/goldens.py, run in tests/data, prints its golden's bytes."""
 
-    The sweep CSV is left out: it prints full repr floats, whose last digit
-    can differ from one libm to another.
-    """
-
-    @pytest.mark.parametrize(
-        "argv, golden",
-        [
-            (("table",), "golden_table.txt"),
-            (("table", "--format", "csv"), "golden_table.csv"),
-            (("sweep",), "golden_sweep.txt"),
-            (("weigh", "--input", str(DATA / "textdir"), "--format", "textdir"), "golden_weigh.tsv"),
-        ],
-    )
-    def test_output_matches_golden_bytes(self, argv, golden, capsys):
+    @pytest.mark.parametrize("argv, golden", [(command.split(), golden) for command, golden, _ in GOLDENS])
+    def test_output_matches_golden_bytes(self, argv, golden, monkeypatch, capsys):
+        monkeypatch.chdir(DATA)
         code, out, err = run_cli(*argv, capsys=capsys)
         assert (code, err) == (0, "")
         assert out.encode("utf-8") == (DATA / golden).read_bytes()
+
+    def test_every_golden_file_is_named_by_the_list(self):
+        assert {path.name for path in DATA.glob("golden_*")} == {golden for _, golden, _ in GOLDENS}
+        assert len({command for command, _, _ in GOLDENS}) == len(GOLDENS)
 
 
 class TestOutputFile:

@@ -389,8 +389,14 @@ class TestMatrixInvariants:
         assert isinstance(excinfo.value, TypeError)
 
     def test_ingest_counts_refuses_a_count_that_is_no_int(self):
-        with pytest.raises(NonIntegerCellError, match=r"^column 0: "):
+        with pytest.raises(NonIntegerCellError, match=r"^count 2\.5 for \('a', 'd1'\) is not an int$"):
             ingest_counts([("a", "d1", 2.5), ("b", "d1", 1)])
+
+    @pytest.mark.parametrize("count", ["2", None, 0.0, 1.5, -1.5, True])
+    def test_ingest_counts_checks_a_counts_type_before_its_sign(self, count):
+        # a str or None is not compared with 0, and a 0.0 is not dropped as a zero total
+        with pytest.raises(NonIntegerCellError, match=r"^count .+ for \('b', 'd1'\) is not an int$"):
+            ingest_counts([("a", "d1", 1), ("b", "d1", count)])
 
     @pytest.mark.parametrize("count", [1, 3, 4], ids=["too-few", "one-too-many", "two-too-many"])
     def test_a_one_shot_iterator_of_the_wrong_length(self, count):
