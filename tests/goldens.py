@@ -24,9 +24,10 @@ GOLDENS = [
     ("table", "golden_table.txt", "the reference tables; written before verify alone decided table"),
     ("table --format csv", "golden_table.csv", "the same tables as CSV, written with them"),
     ("sweep", "golden_sweep.txt", "the default sweep report, written with the tables"),
+    ("weigh --input textdir --format textdir", "golden_weigh.tsv",
+     "the texts of corpus.jsonl, one file per id, print the next entry's bytes"),
     ("weigh --input corpus.jsonl --format jsonl", "golden_weigh.tsv",
      "every weight of every nonzero cell, written by oracle_pipeline.py in exact arithmetic"),
-    ("weigh --input textdir --format textdir", "golden_weigh.tsv", "the same texts, one file per id"),
     ("weigh --input corpus.jsonl --format jsonl --include-zeros", "golden_weigh_zeros.tsv",
      "zero cells too, phi NA at tf = 0; written before weigh rendered once per key"),
     ("weigh --input table4_case1.csv --format counts --schemes tfidf,tficf --include-zeros",
@@ -61,7 +62,7 @@ def failures():
         yield failure(command, result, result.stdout, golden)
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp, "out")
-        for command, golden, _ in GOLDENS[3], GOLDENS[8]:  # weigh and rank on corpus.jsonl
+        for command, golden, _ in GOLDENS[4], GOLDENS[8]:  # weigh and rank on corpus.jsonl
             result = run(f"-m termfisher {command} --output", target)
             yield failure(f"{command} --output", result, target.exists() and target.read_bytes(), golden)
     try:

@@ -41,6 +41,11 @@ def run_cli(*argv, capsys):
 
 
 class TestWeigh:
+    def test_matches_golden_output(self, capsys):
+        code, out, err = run_cli("weigh", "--input", CORPUS, "--format", "jsonl", capsys=capsys)
+        assert code == 0
+        assert out == GOLDEN
+
     def test_output_file_matches_stdout_stream(self, tmp_path, capsys):
         target = tmp_path / "weigh.tsv"
         code, out, _ = run_cli(
